@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Supports exactly the operations the encoder, decoder, and loss heads need:
-broadcasting arithmetic, 2-D matmul, slicing/gather with scatter-add
+broadcasting arithmetic, batched matmul, slicing/gather with scatter-add
 backward, reductions, and the usual nonlinearities.  Everything is double
 precision so analytic gradients can be validated against central finite
 differences tightly.
@@ -174,26 +174,30 @@ def power(a: ArrayLike, exponent: float) -> Tensor:
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
+    """Matrix product over the last two axes; operands of equal rank >= 2
+    must share their leading batch shape (no broadcasting)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ValueError("matmul needs operands of equal rank >= 2 with the same batch shape")
     out_data = a.data @ b.data
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
 
     return _make(out_data, (a, b), bw)
 
 
-def transpose(a: ArrayLike) -> Tensor:
+def transpose(a: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute axes (reverse them when ``axes`` is None)."""
     a = as_tensor(a)
-    out_data = a.data.T
+    out_data = np.transpose(a.data, axes)
+    inverse = None if axes is None else np.argsort(axes)
 
     def bw(g: np.ndarray) -> None:
-        a._accumulate(g.T)
+        a._accumulate(np.transpose(g, inverse))
 
     return _make(out_data, (a,), bw)
 

@@ -64,7 +64,6 @@ class CommandResult:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    common.add_argument("--jobs", type=int, default=1, help="worker count (runs serially regardless)")
     common.add_argument("--verbose", action="store_true", help="debug logging")
 
     parser = argparse.ArgumentParser(

@@ -5,7 +5,8 @@ multi-view summary of each instruction seeds K-hop message passing over the
 instruction-level CFG (graph route), while the flattened token sequence
 runs through a transformer encoder (sequence route).  The final encoding is
 the projected graph readout prepended to the per-token states.  The module
-also hosts the three language-model pretraining losses.
+also hosts the three language-model pretraining losses, and the attention,
+layer-norm and feed-forward blocks that the name decoder in ``tasks`` reuses.
 """
 
 from __future__ import annotations
@@ -204,11 +205,53 @@ def _affine(tape: ParamTape, x: Tensor, w: str, b: str) -> Tensor:
     return x @ tape.get(w) + tape.get(b)
 
 
-def _layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+# -- transformer blocks, shared with the name decoder ---------------------------
+
+def _layer_norm(tape: ParamTape, x: Tensor, prefix: str) -> Tensor:
     mu = ag.mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = ag.mean(centered * centered, axis=-1, keepdims=True)
-    return g * (centered * (var + _LN_EPS) ** -0.5) + b
+    return tape.get(f"{prefix}.g") * (centered * (var + _LN_EPS) ** -0.5) + tape.get(f"{prefix}.b")
+
+
+def _feed_forward(tape: ParamTape, prefix: str, x: Tensor) -> Tensor:
+    hidden = ag.relu(_affine(tape, x, f"{prefix}.w1", f"{prefix}.b1"))
+    return _affine(tape, hidden, f"{prefix}.w2", f"{prefix}.b2")
+
+
+def attention(
+    tape: ParamTape,
+    prefix: str,
+    queries: Tensor,
+    keys_values: Tensor,
+    n_heads: int,
+    bias: Optional[np.ndarray] = None,
+    attn_sink: Optional[list] = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention with every head in one batch.
+
+    ``queries`` is Tq x d and ``keys_values`` Tk x d; ``bias`` is added to
+    the Tq x Tk scores of every head.  ``attn_sink``, when given, receives
+    one Tq x Tk attention array per head.
+    """
+    t_q, d = queries.shape
+    d_head = d // n_heads
+
+    def project(x: Tensor, name: str, axes: tuple[int, int, int]) -> Tensor:
+        proj = _affine(tape, x, f"{prefix}.w{name}", f"{prefix}.b{name}")
+        return ag.transpose(ag.reshape(proj, (x.shape[0], n_heads, d_head)), axes)
+
+    q = project(queries, "q", (1, 0, 2))  # heads x Tq x d_head
+    k_t = project(keys_values, "k", (1, 2, 0))  # heads x d_head x Tk
+    v = project(keys_values, "v", (1, 0, 2))  # heads x Tk x d_head
+    scores = (q @ k_t) * (1.0 / math.sqrt(d_head))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    attn = ag.softmax(scores, axis=-1)
+    if attn_sink is not None:
+        attn_sink.extend(attn.data.copy())
+    merged = ag.reshape(ag.transpose(attn @ v, (1, 0, 2)), (t_q, d))
+    return _affine(tape, merged, f"{prefix}.wo", f"{prefix}.bo")
 
 
 # -- convolutional node vectors ---------------------------------------------
@@ -339,32 +382,18 @@ def _transformer_tensor(
     if training and config.dropout > 0.0 and rng is None:
         rng = np.random.default_rng(0)
     key_bias = np.where(ids == PAD_ID, _MASK_BIAS, 0.0)[None, :]
-    d_head = config.d_hidden // config.n_heads
-    scale = 1.0 / math.sqrt(d_head)
 
     x = _affine(tape, ag.take_rows(tape.get("tok_emb"), ids), "in_proj.w", "in_proj.b")
     x = x + tape.get("pos_emb")[0:T]
     x = ag.dropout(x, config.dropout, rng, training)
     for i in range(config.n_layers):
         p = f"enc{i}"
-        normed = _layer_norm(x, tape.get(f"{p}.ln1.g"), tape.get(f"{p}.ln1.b"))
-        q = _affine(tape, normed, f"{p}.attn.wq", f"{p}.attn.bq")
-        k = _affine(tape, normed, f"{p}.attn.wk", f"{p}.attn.bk")
-        v = _affine(tape, normed, f"{p}.attn.wv", f"{p}.attn.bv")
-        heads = []
-        for h in range(config.n_heads):
-            cols = slice(h * d_head, (h + 1) * d_head)
-            scores = (q[:, cols] @ ag.transpose(k[:, cols])) * scale + Tensor(key_bias)
-            attn = ag.softmax(scores, axis=-1)
-            if attn_sink is not None:
-                attn_sink.append(attn.data.copy())
-            heads.append(attn @ v[:, cols])
-        attn_out = _affine(tape, ag.concat(heads, axis=1), f"{p}.attn.wo", f"{p}.attn.bo")
+        normed = _layer_norm(tape, x, f"{p}.ln1")
+        attn_out = attention(tape, f"{p}.attn", normed, normed, config.n_heads, key_bias, attn_sink)
         x = x + ag.dropout(attn_out, config.dropout, rng, training)
-        normed = _layer_norm(x, tape.get(f"{p}.ln2.g"), tape.get(f"{p}.ln2.b"))
-        ffn = _affine(tape, ag.relu(_affine(tape, normed, f"{p}.ffn.w1", f"{p}.ffn.b1")), f"{p}.ffn.w2", f"{p}.ffn.b2")
+        ffn = _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln2"))
         x = x + ag.dropout(ffn, config.dropout, rng, training)
-    return _layer_norm(x, tape.get("enc_final_ln.g"), tape.get("enc_final_ln.b"))
+    return _layer_norm(tape, x, "enc_final_ln")
 
 
 def _pooled_mean(states: Tensor, ids: np.ndarray) -> Tensor:

@@ -122,6 +122,8 @@ def _parse_record(obj: dict, line_no: int) -> FunctionRecord:
     instructions = []
     if not isinstance(obj["instructions"], list):
         _fail(line_no, "field 'instructions' must be a list")
+    if not obj["instructions"]:
+        _fail(line_no, "field 'instructions' is empty")
     for i, inst in enumerate(obj["instructions"]):
         if not isinstance(inst, dict) or not isinstance(inst.get("mnemonic"), str) or not inst["mnemonic"]:
             _fail(line_no, f"field 'instructions[{i}].mnemonic' missing or empty")

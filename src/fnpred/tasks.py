@@ -10,7 +10,6 @@ is their weighted sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -18,13 +17,12 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import EncoderConfig
+from .encoder import _MASK_BIAS, EncoderConfig, _affine, _as_tape, _feed_forward, _layer_norm, attention
 from .ingest import FunctionRecord
 from .params import ParamStore, ParamTape
 
 NAME_PAD, NAME_BOS, NAME_EOS, NAME_UNK = 0, 1, 2, 3
 _NAME_SPECIALS = ("[PAD]", "[BOS]", "[EOS]", "[UNK]")
-_MASK_BIAS = -1e30
 
 DEFAULT_MARGIN = 0.5
 RANKING_VARIANTS = ("margin", "inverted")
@@ -145,52 +143,11 @@ def init_task_params(store: ParamStore, config: EncoderConfig, name_vocab_size: 
     store.zeros("sim.b2", (c.d_hidden,))
 
 
-def _as_tape(params: Union[ParamStore, ParamTape]) -> ParamTape:
-    if isinstance(params, ParamTape):
-        return params
-    return ParamTape(params, trainable=False)
-
-
 def _as_emb_tensor(emb: Union[Tensor, np.ndarray]) -> Tensor:
     tensor = emb if isinstance(emb, Tensor) else Tensor(np.asarray(emb, dtype=np.float64))
     if tensor.ndim != 2 or tensor.shape[0] == 0:
         raise ValueError("encoding sequence must be a non-empty 2-D array")
     return tensor
-
-
-def _affine(tape: ParamTape, x: Tensor, w: str, b: str) -> Tensor:
-    return x @ tape.get(w) + tape.get(b)
-
-
-def _layer_norm(tape: ParamTape, x: Tensor, prefix: str) -> Tensor:
-    mu = ag.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = ag.mean(centered * centered, axis=-1, keepdims=True)
-    return tape.get(f"{prefix}.g") * (centered * (var + 1e-5) ** -0.5) + tape.get(f"{prefix}.b")
-
-
-def _attention_block(
-    tape: ParamTape,
-    prefix: str,
-    queries: Tensor,
-    keys_values: Tensor,
-    n_heads: int,
-    bias: Optional[np.ndarray],
-) -> Tensor:
-    d = queries.shape[1]
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
-    q = _affine(tape, queries, f"{prefix}.wq", f"{prefix}.bq")
-    k = _affine(tape, keys_values, f"{prefix}.wk", f"{prefix}.bk")
-    v = _affine(tape, keys_values, f"{prefix}.wv", f"{prefix}.bv")
-    heads = []
-    for h in range(n_heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        scores = (q[:, cols] @ ag.transpose(k[:, cols])) * scale
-        if bias is not None:
-            scores = scores + Tensor(bias)
-        heads.append(ag.softmax(scores, axis=-1) @ v[:, cols])
-    return _affine(tape, ag.concat(heads, axis=1), f"{prefix}.wo", f"{prefix}.bo")
 
 
 def _decoder_states(
@@ -216,16 +173,15 @@ def _decoder_states(
         p = f"dec{i}"
         normed = _layer_norm(tape, x, f"{p}.ln1")
         x = x + ag.dropout(
-            _attention_block(tape, f"{p}.self", normed, normed, config.n_heads, causal),
+            attention(tape, f"{p}.self", normed, normed, config.n_heads, causal),
             config.dropout, rng, training,
         )
         normed = _layer_norm(tape, x, f"{p}.ln2")
         x = x + ag.dropout(
-            _attention_block(tape, f"{p}.cross", normed, emb, config.n_heads, None),
+            attention(tape, f"{p}.cross", normed, emb, config.n_heads),
             config.dropout, rng, training,
         )
-        normed = _layer_norm(tape, x, f"{p}.ln3")
-        ffn = _affine(tape, ag.relu(_affine(tape, normed, f"{p}.ffn.w1", f"{p}.ffn.b1")), f"{p}.ffn.w2", f"{p}.ffn.b2")
+        ffn = _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln3"))
         x = x + ag.dropout(ffn, config.dropout, rng, training)
     return _layer_norm(tape, x, "dec_final_ln")
 
@@ -275,12 +231,14 @@ def predict_name(
     vocab: NameVocabulary,
     max_len: int = 8,
 ) -> list[str]:
-    """Greedy decoding until EOS or ``max_len`` labels; ties take the lowest id."""
+    """Greedy decoding until EOS, ``max_len`` labels or a prefix of
+    ``config.seq_cap`` ids (PAD and BOS argmaxes extend the prefix but emit
+    no label); ties take the lowest id."""
     prefix = [NAME_BOS]
     out: list[str] = []
     emb_t = _as_emb_tensor(emb)
     tape = _as_tape(params)
-    while len(out) < max_len:
+    while len(out) < max_len and len(prefix) < config.seq_cap:
         probs = decode_step_probs(emb_t, prefix, tape, config)
         nxt = int(np.argmax(probs))
         if nxt == NAME_EOS:

@@ -78,26 +78,37 @@ class TrainConfig:
             raise ValueError("jcs_variant must be 'margin' or 'inverted'")
 
 
-def _coerce(raw: str, typ: type):
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return typ(raw)
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def save_train_config(cfg: TrainConfig, path: str) -> None:
+# Value parsers by dataclass field annotation; list[int] is comma-separated.
+_FIELD_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "list[int]": lambda raw: [int(x) for x in raw.split(",") if x],
+}
+
+
+def _write_config(cfg, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(cfg):
-            fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
+            value = getattr(cfg, f.name)
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            fh.write(f"{f.name}={value}\n")
 
 
-def load_train_config(path: str) -> TrainConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    types = {"int": int, "float": float, "str": str, "bool": bool}
+def _read_config(cls, path: str):
+    """Build dataclass ``cls`` from a ``key=value`` file, typed by its fields."""
+    fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     kwargs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -106,39 +117,30 @@ def load_train_config(path: str) -> TrainConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            kwargs[key] = _coerce(value.strip(), types[str(fields[key])])
-    return TrainConfig(**kwargs)
+            try:
+                kwargs[key] = _FIELD_PARSERS[fields[key]](value)
+            except ValueError as exc:
+                raise ValueError(f"config line {line_no}: bad value for {key!r}: {exc}") from None
+    return cls(**kwargs)
+
+
+def save_train_config(cfg: TrainConfig, path: str) -> None:
+    _write_config(cfg, path)
+
+
+def load_train_config(path: str) -> TrainConfig:
+    return _read_config(TrainConfig, path)
 
 
 def save_encoder_config(cfg: EncoderConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(cfg):
-            value = getattr(cfg, f.name)
-            if f.name == "conv_kernel_widths":
-                value = ",".join(str(w) for w in value)
-            fh.write(f"{f.name}={value}\n")
+    _write_config(cfg, path)
 
 
 def load_encoder_config(path: str) -> EncoderConfig:
-    kwargs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key == "conv_kernel_widths":
-                kwargs[key] = [int(x) for x in value.split(",") if x]
-            elif key == "dropout":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
-    return EncoderConfig(**kwargs)
+    return _read_config(EncoderConfig, path)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -147,13 +149,16 @@ def adam_step(store: ParamStore, cfg: TrainConfig, step: Optional[int] = None) -
     """One bias-corrected Adam update from the store's gradient buffers.
 
     Gradients are zeroed afterwards; first/second moments persist in
-    ``store.opt_state`` under ``<name>.m`` / ``<name>.v``.
+    ``store.opt_state`` under ``<name>.m`` / ``<name>.v``.  Every gradient
+    is checked before any update, so a non-finite one leaves the store as
+    it was.
     """
     t = store.step_count + 1 if step is None else int(step)
     for name in store.values:
-        g = store.grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(store.grads[name])):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
+    for name in store.values:
+        g = store.grads[name]
         m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(g))
         v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(g))
         m *= cfg.beta1

@@ -116,6 +116,9 @@ class TestReductionsAndShape:
     def test_transpose(self):
         check_op(lambda t: weighted_sum(ag.transpose(t)), RNG.normal(size=(3, 5)))
 
+    def test_transpose_with_axes(self):
+        check_op(lambda t: weighted_sum(ag.transpose(t, (1, 2, 0))), RNG.normal(size=(2, 3, 4)))
+
     def test_reshape(self):
         check_op(lambda t: weighted_sum(ag.reshape(t, (2, 6))), RNG.normal(size=(3, 4)))
 
@@ -140,6 +143,20 @@ class TestMatmulAndSoftmax:
         check_op(lambda t: weighted_sum(t @ b), a)
         a_t = Tensor(a)
         check_op(lambda t: weighted_sum(a_t @ t), RNG.normal(size=(4, 2)))
+
+    def test_batched_matmul_both_sides(self):
+        a = RNG.normal(size=(2, 3, 4))
+        b = Tensor(RNG.normal(size=(2, 4, 5)))
+        check_op(lambda t: weighted_sum(t @ b), a)
+        a_t = Tensor(a)
+        check_op(lambda t: weighted_sum(a_t @ t), RNG.normal(size=(2, 4, 5)))
+
+    def test_matmul_rejects_mismatched_batch_shapes(self):
+        a = Tensor(RNG.normal(size=(2, 3, 4)))
+        with pytest.raises(ValueError, match="same batch shape"):
+            a @ Tensor(RNG.normal(size=(3, 4, 5)))
+        with pytest.raises(ValueError, match="same batch shape"):
+            a @ Tensor(RNG.normal(size=(4, 5)))
 
     def test_softmax_rows_sum_to_one(self):
         x = RNG.normal(size=(3, 5))

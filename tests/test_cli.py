@@ -70,6 +70,11 @@ class TestParsingAndHelp:
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]).exit_code == 2
 
+    def test_jobs_option_removed(self, tmp_path):
+        inp = write_jsonl(make_dataset(n_sources=1), tmp_path / "in.jsonl")
+        argv = ["ingest", "--jobs", "2", "--input", str(inp), "--out", str(tmp_path / "out.jsonl")]
+        assert run(argv).exit_code == 2
+
     def test_help_lists_every_subcommand(self, capsys):
         run(["--help"])
         out = capsys.readouterr().out

@@ -73,6 +73,7 @@ class TestParsing:
             (lambda d: d["edges"].append([0, 1, "teleport"]), "edges"),
             (lambda d: d["edges"].append([0, 99, "jump"]), "out of range"),
             (lambda d: d["instructions"][0].pop("mnemonic"), "mnemonic"),
+            (lambda d: d.update(instructions=[]), "line 1: field 'instructions' is empty"),
             (lambda d: d.update(defuse=[[0, 99]]), "defuse"),
         ],
     )

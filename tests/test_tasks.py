@@ -282,6 +282,12 @@ class TestPredictName:
         out8 = predict_name(random_emb(seed=7), store, TOY, vocab)
         assert len(out8) == 8
 
+    def test_pad_argmax_stops_at_sequence_cap(self):
+        vocab = vocab10()
+        store = task_store(len(vocab), seed=9)
+        store.values["out_proj.b"][NAME_PAD] = 100.0
+        assert predict_name(random_emb(seed=9), store, TOY, vocab) == []
+
     def test_ties_take_lowest_id(self):
         vocab = vocab10()
         store = task_store(len(vocab), seed=8)

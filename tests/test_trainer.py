@@ -133,6 +133,30 @@ class TestEncoderConfigIO:
             fh.write("\n# trailing comment\n")
         assert load_encoder_config(path) == TOY
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("heads=4", r"config line 3: unknown key 'heads'"),
+         ("n_layers 4", r"config line 3: expected key=value"),
+         ("n_layers=four", r"config line 3: bad value for 'n_layers'")],
+    )
+    def test_bad_line_named(self, tmp_path, line, message):
+        path = tmp_path / "enc.cfg"
+        path.write_text(f"d_token=8\n# comment\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_encoder_config(str(path))
+
+    def test_files_unchanged_by_shared_writer(self, tmp_path):
+        enc_path, train_path = tmp_path / "enc.cfg", tmp_path / "train.cfg"
+        save_encoder_config(TOY, str(enc_path))
+        save_train_config(TrainConfig(), str(train_path))
+        assert enc_path.read_text().splitlines() == [
+            "d_token=8", "n_layers=1", "n_heads=2", "d_hidden=16", "gnn_layers=1",
+            "gnn_hops=2", "conv_kernel_widths=2,3", "kernels_per_width=2",
+            "dropout=0.0", "seq_cap=64",
+        ]
+        assert train_path.read_text().startswith("batch_size=32\nlr=5e-05\n")
+        assert "toy=True\n" in train_path.read_text()
+
 
 # -- optimizer -------------------------------------------------------------------
 
@@ -200,6 +224,26 @@ class TestAdamStep:
         store.grads["x"][0] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient for parameter"):
             adam_step(store, TrainConfig())
+
+    def test_non_finite_gradient_leaves_state_unchanged(self):
+        store = ParamStore(seed=0)
+        store.affine("a", (3, 2))
+        store.affine("b", (2, 2))
+        store.grads["a"][:] = 1.0
+        adam_step(store, TrainConfig())
+        store.grads["a"][:] = 0.5
+        store.grads["b"][1, 1] = np.nan
+        values = {k: v.copy() for k, v in store.values.items()}
+        moments = {k: v.copy() for k, v in store.opt_state.items()}
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(store, TrainConfig())
+        assert store.step_count == 1
+        assert set(store.values) == set(values)
+        for name, value in values.items():
+            assert np.array_equal(store.values[name], value)
+        assert set(store.opt_state) == set(moments)
+        for name, moment in moments.items():
+            assert np.array_equal(store.opt_state[name], moment)
 
 
 # -- gradient-check harness -------------------------------------------------------
