@@ -15,9 +15,8 @@ The package covers the full desk-scale pipeline:
 * :mod:`fnpred.metrics` — word-level precision/recall/F1, OOV ratio, KL.
 * :mod:`fnpred.cli` — the ``fnpred`` command-line entry point.
 
-Hot numeric kernels live in :mod:`fnpred.kernels` and are JIT-compiled with
-numba by default; set ``FNPRED_NO_NUMBA=1`` to run the identical pure-numpy
-bodies interpreted.
+The numeric kernels (Smith-Waterman, skip-gram epochs, depth-limited BFS)
+are plain Python/NumPy functions in :mod:`fnpred.kernels`.
 """
 
 __version__ = "0.1.0"

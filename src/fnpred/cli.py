@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -64,7 +63,6 @@ class CommandResult:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    common.add_argument("--verbose", action="store_true", help="debug logging")
 
     parser = argparse.ArgumentParser(
         prog="fnpred",
@@ -456,8 +454,6 @@ def run(argv: list[str]) -> CommandResult:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult(exit_code=code)
-    if getattr(ns, "verbose", False):
-        logging.basicConfig(level=logging.DEBUG)
     handler = _HANDLERS[ns.command]
     try:
         summary, artifacts = handler(ns)

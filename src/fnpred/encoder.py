@@ -32,24 +32,6 @@ _SPECIALS = (PAD_TOKEN, MASK_TOKEN, SEP_TOKEN, UNK_TOKEN)
 _LN_EPS = 1e-5
 _MASK_BIAS = -1e30
 
-_truncation_count = 0
-
-
-def truncation_count() -> int:
-    """Number of sequences truncated to the length cap since last reset."""
-    return _truncation_count
-
-
-def reset_truncation_count() -> None:
-    global _truncation_count
-    _truncation_count = 0
-
-
-def _note_truncation() -> None:
-    global _truncation_count
-    _truncation_count += 1
-
-
 # -- vocabulary -------------------------------------------------------------
 
 class TokenVocab:
@@ -122,6 +104,8 @@ class EncoderConfig:
     seq_cap: int = 512
 
     def __post_init__(self) -> None:
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.d_hidden % self.n_heads != 0:
             raise ValueError("d_hidden must be divisible by n_heads")
         if any(w < 1 for w in self.conv_kernel_widths):
@@ -167,7 +151,7 @@ def init_encoder_params(store: ParamStore, config: EncoderConfig, vocab_size: in
         store.zeros(f"{p}.ln1.b", (c.d_hidden,))
         for w in ("wq", "wk", "wv", "wo"):
             store.affine(f"{p}.attn.{w}", (c.d_hidden, c.d_hidden))
-        for b in ("bq", "bk", "bv", "bo"):
+        for b in ("bq", "bv", "bo"):
             store.zeros(f"{p}.attn.{b}", (c.d_hidden,))
         store.ones(f"{p}.ln2.g", (c.d_hidden,))
         store.zeros(f"{p}.ln2.b", (c.d_hidden,))
@@ -232,13 +216,17 @@ def attention(
 
     ``queries`` is Tq x d and ``keys_values`` Tk x d; ``bias`` is added to
     the Tq x Tk scores of every head.  ``attn_sink``, when given, receives
-    one Tq x Tk attention array per head.
+    one Tq x Tk attention array per head.  The key projection has no bias:
+    it would add one constant to every score of a query row, which softmax
+    cancels.
     """
     t_q, d = queries.shape
     d_head = d // n_heads
 
     def project(x: Tensor, name: str, axes: tuple[int, int, int]) -> Tensor:
-        proj = _affine(tape, x, f"{prefix}.w{name}", f"{prefix}.b{name}")
+        proj = x @ tape.get(f"{prefix}.w{name}")
+        if name != "k":
+            proj = proj + tape.get(f"{prefix}.b{name}")
         return ag.transpose(ag.reshape(proj, (x.shape[0], n_heads, d_head)), axes)
 
     q = project(queries, "q", (1, 0, 2))  # heads x Tq x d_head
@@ -375,9 +363,7 @@ def _transformer_tensor(
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ValueError("cannot encode an empty token sequence")
-    if ids.size > config.seq_cap:
-        ids = ids[: config.seq_cap]
-        _note_truncation()
+    ids = ids[: config.seq_cap]
     T = ids.size
     if training and config.dropout > 0.0 and rng is None:
         rng = np.random.default_rng(0)

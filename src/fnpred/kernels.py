@@ -1,14 +1,9 @@
-"""Hot numeric kernels shared across the pipeline.
+"""Numeric kernels shared across the pipeline.
 
-Each kernel is defined once as a pure-numpy function (``*_impl``) and then
-wrapped by :func:`fnpred._accel.maybe_jit`.  The ``*_impl`` names stay
-importable so tests can check that the compiled and interpreted paths agree
-bit for bit.
-
-Kernels:
+Each kernel is one plain function:
 
 * :func:`smith_waterman_score` — best local-alignment score between two
-  encoded strings (match +1, mismatch -1, gap -1, scores floored at 0).
+  strings (match +1, mismatch -1, gap -1, scores floored at 0).
 * :func:`sgns_epoch` — one epoch of skip-gram training with negative
   sampling over precomputed (composition, context, negatives) triples.
   The same kernel serves plain word vectors (composition = the word row)
@@ -23,142 +18,76 @@ import math
 
 import numpy as np
 
-from ._accel import maybe_jit
 
-
-def _smith_waterman_score_impl(a, b):
-    """Best local alignment score of integer-coded strings ``a`` and ``b``.
+def smith_waterman_score(a: str, b: str) -> int:
+    """Best local alignment score of strings ``a`` and ``b``.
 
     Dynamic program over a (|a|+1) x (|b|+1) table where every cell is the
     max of extending diagonally (+1 match / -1 mismatch), a gap in either
-    string (-1), or restarting at 0.  Only two rows are kept.
+    string (-1), or restarting at 0.  Only the previous row is kept.
     """
-    n = a.shape[0]
-    m = b.shape[0]
-    prev = np.zeros(m + 1, dtype=np.float64)
-    cur = np.zeros(m + 1, dtype=np.float64)
-    best = 0.0
-    for i in range(1, n + 1):
-        cur[0] = 0.0
-        for j in range(1, m + 1):
-            if a[i - 1] == b[j - 1]:
-                score = prev[j - 1] + 1.0
-            else:
-                score = prev[j - 1] - 1.0
-            if prev[j] - 1.0 > score:
-                score = prev[j] - 1.0
-            if cur[j - 1] - 1.0 > score:
-                score = cur[j - 1] - 1.0
-            if score < 0.0:
-                score = 0.0
-            cur[j] = score
-            if score > best:
-                best = score
-        tmp = prev
+    prev = [0] * (len(b) + 1)
+    best = 0
+    for ca in a:
+        cur = [0]
+        for j, cb in enumerate(b):
+            diag = prev[j] + 1 if ca == cb else prev[j] - 1
+            cur.append(max(diag, prev[j + 1] - 1, cur[j] - 1, 0))
+        best = max(best, max(cur))
         prev = cur
-        cur = tmp
     return best
 
 
-def _sgns_epoch_impl(comp_flat, comp_off, ctx_rows, neg_rows, vec_in, vec_out, lr):
+def sgns_epoch(comp_flat, comp_off, ctx_rows, neg_rows, vec_in, vec_out, lr):
     """Run one pass of skip-gram negative-sampling updates.
 
     Pair ``p`` predicts context row ``ctx_rows[p]`` from the mean of the
     input rows ``comp_flat[comp_off[p]:comp_off[p + 1]]`` and is contrasted
-    against the negative rows ``neg_rows[p]``.  ``vec_in`` and ``vec_out``
-    are updated in place; the summed cross-entropy loss is returned.
+    against the negative rows ``neg_rows[p]``.  As in word2vec, updates are
+    sequential: each target's output row moves before the next target is
+    scored, and the input rows move after the pair's last target.
+    ``vec_in`` and ``vec_out`` are updated in place; the summed
+    cross-entropy loss is returned.
 
     Negatives are sampled by the caller so the kernel itself is fully
     deterministic.
     """
-    dim = vec_in.shape[1]
-    n_neg = neg_rows.shape[1]
-    hidden = np.zeros(dim, dtype=np.float64)
-    err = np.zeros(dim, dtype=np.float64)
     loss = 0.0
-    for p in range(ctx_rows.shape[0]):
-        lo = comp_off[p]
-        hi = comp_off[p + 1]
-        inv = 1.0 / (hi - lo)
-        for d in range(dim):
-            hidden[d] = 0.0
-        for c in range(lo, hi):
-            row = comp_flat[c]
-            for d in range(dim):
-                hidden[d] += vec_in[row, d]
-        for d in range(dim):
-            hidden[d] *= inv
-            err[d] = 0.0
-        for s in range(n_neg + 1):
-            if s == 0:
-                target = ctx_rows[p]
-                label = 1.0
-            else:
-                target = neg_rows[p, s - 1]
-                label = 0.0
-            z = 0.0
-            for d in range(dim):
-                z += vec_out[target, d] * hidden[d]
-            if z > 60.0:
-                z = 60.0
-            elif z < -60.0:
-                z = -60.0
-            # math.exp/math.log keep the compiled and interpreted paths on the
-            # same libm routines; numpy's scalar exp/log differ by an ulp on
-            # some inputs, which would break bit-for-bit parity.
+    comp, offsets = comp_flat.tolist(), comp_off.tolist()
+    for p, (ctx, negs) in enumerate(zip(ctx_rows.tolist(), neg_rows.tolist())):
+        rows = comp[offsets[p] : offsets[p + 1]]
+        inv = 1.0 / len(rows)
+        hidden = vec_in[rows].sum(axis=0) * inv
+        err = np.zeros_like(hidden)
+        for s, target in enumerate([ctx] + negs):
+            out = vec_out[target]
+            z = min(max(float(out @ hidden), -60.0), 60.0)
             f = 1.0 / (1.0 + math.exp(-z))
-            if label > 0.5:
-                p_correct = f
-            else:
-                p_correct = 1.0 - f
-            if p_correct < 1e-12:
-                p_correct = 1e-12
-            loss += -math.log(p_correct)
+            label = 1.0 if s == 0 else 0.0
+            loss -= math.log(max(f if s == 0 else 1.0 - f, 1e-12))
             g = (label - f) * lr
-            for d in range(dim):
-                err[d] += g * vec_out[target, d]
-                vec_out[target, d] += g * hidden[d]
-        for c in range(lo, hi):
-            row = comp_flat[c]
-            for d in range(dim):
-                vec_in[row, d] += err[d] * inv
+            err += g * out
+            out += g * hidden
+        step = err * inv
+        for row in rows:
+            vec_in[row] += step
     return loss
 
 
-def _bfs_limited_impl(indptr, indices, source, max_depth, dist):
+def bfs_limited(indptr, indices, source, max_depth, dist):
     """Fill ``dist`` with BFS depths from ``source``, -1 beyond ``max_depth``.
 
     ``indptr``/``indices`` is a CSR adjacency over ``dist.size`` nodes.
     """
-    n = dist.shape[0]
-    for i in range(n):
-        dist[i] = -1
-    queue = np.empty(n, dtype=np.int64)
-    head = 0
-    tail = 0
+    dist[:] = -1
     dist[source] = 0
-    queue[tail] = source
-    tail += 1
-    while head < tail:
-        u = queue[head]
-        head += 1
+    queue = [source]
+    for u in queue:  # the queue grows while it is walked
         du = dist[u]
         if du >= max_depth:
             continue
-        for off in range(indptr[u], indptr[u + 1]):
-            v = indices[off]
+        for v in indices[indptr[u] : indptr[u + 1]]:
             if dist[v] < 0:
                 dist[v] = du + 1
-                queue[tail] = v
-                tail += 1
+                queue.append(v)
     return dist
-
-
-smith_waterman_score = maybe_jit(_smith_waterman_score_impl)
-sgns_epoch = maybe_jit(_sgns_epoch_impl)
-bfs_limited = maybe_jit(_bfs_limited_impl)
-
-
-def encode_string(s: str) -> np.ndarray:
-    """Encode a string as an int64 array of code points for the kernels."""
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)

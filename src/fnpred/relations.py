@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import encode_string, sgns_epoch, smith_waterman_score
+from .kernels import sgns_epoch, smith_waterman_score
 
 SYNONYM_THRESHOLD = 2.0 / 3.0
 
@@ -306,8 +306,7 @@ def sw_relative_similarity(a: str, b: str) -> float:
     """Best local-alignment score divided by the shorter string's length."""
     if not a or not b:
         raise ValueError("empty string")
-    score = smith_waterman_score(encode_string(a), encode_string(b))
-    return float(score) / min(len(a), len(b))
+    return smith_waterman_score(a, b) / min(len(a), len(b))
 
 
 def is_abbreviation(t: str, w: str) -> bool:

@@ -127,7 +127,7 @@ def init_task_params(store: ParamStore, config: EncoderConfig, name_vocab_size: 
         for block in ("self", "cross"):
             for w in ("wq", "wk", "wv", "wo"):
                 store.affine(f"{p}.{block}.{w}", (c.d_hidden, c.d_hidden))
-            for b in ("bq", "bk", "bv", "bo"):
+            for b in ("bq", "bv", "bo"):
                 store.zeros(f"{p}.{block}.{b}", (c.d_hidden,))
         store.affine(f"{p}.ffn.w1", (c.d_hidden, 2 * c.d_hidden))
         store.zeros(f"{p}.ffn.b1", (2 * c.d_hidden,))

@@ -74,6 +74,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.jcs_variant not in ("margin", "inverted"):
             raise ValueError("jcs_variant must be 'margin' or 'inverted'")
 

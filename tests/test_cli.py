@@ -409,7 +409,7 @@ class TestEvaluateCommand:
 
 class TestGradcheckCommand:
     def test_all_paths_pass_at_default_threshold(self, capsys):
-        result = run(["gradcheck", "--max-coords", "10"])
+        result = run(["gradcheck"])
         assert result.exit_code == 0
         assert result.summary == "all 7 loss paths below 0.0001"
         out = capsys.readouterr().out

@@ -70,7 +70,7 @@ def attention_oracle(v, prefix, queries, keys_values, n_heads, bias):
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
     q = queries @ v[f"{prefix}.wq"] + v[f"{prefix}.bq"]
-    k = keys_values @ v[f"{prefix}.wk"] + v[f"{prefix}.bk"]
+    k = keys_values @ v[f"{prefix}.wk"]
     val = keys_values @ v[f"{prefix}.wv"] + v[f"{prefix}.bv"]
     heads = []
     for h in range(n_heads):

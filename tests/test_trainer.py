@@ -109,11 +109,19 @@ class TestTrainConfigIO:
             ({"batch_size": 0}, "batch_size must be >= 1"),
             ({"patience": 0}, "patience must be >= 1"),
             ({"jcs_variant": "huber"}, "jcs_variant"),
+            ({"eval_every": 0}, "eval_every must be >= 1"),
+            ({"eval_every": -3}, "eval_every must be >= 1"),
         ],
     )
     def test_constructor_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
+
+    def test_eval_every_below_one_rejected_from_file(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("seed=2\neval_every=0\n")
+        with pytest.raises(ValueError, match="eval_every must be >= 1"):
+            load_train_config(str(path))
 
 
 class TestEncoderConfigIO:
@@ -143,6 +151,15 @@ class TestEncoderConfigIO:
         path = tmp_path / "enc.cfg"
         path.write_text(f"d_token=8\n# comment\n{line}\n")
         with pytest.raises(ValueError, match=message):
+            load_encoder_config(str(path))
+
+    @pytest.mark.parametrize("n_heads", [0, -2])
+    def test_n_heads_below_one_rejected(self, tmp_path, n_heads):
+        with pytest.raises(ValueError, match="n_heads must be >= 1"):
+            EncoderConfig(n_heads=n_heads)
+        path = tmp_path / "enc.cfg"
+        path.write_text(f"n_heads={n_heads}\n")
+        with pytest.raises(ValueError, match="n_heads must be >= 1"):
             load_encoder_config(str(path))
 
     def test_files_unchanged_by_shared_writer(self, tmp_path):
