@@ -2,7 +2,8 @@
 
 The package covers the full desk-scale pipeline:
 
-* :mod:`fnpred.ingest` — disassembly normalization, grouped dataset splits.
+* :mod:`fnpred.ingest` — disassembly normalization, instruction tokens,
+  CFGs and k-hop neighborhoods, grouped dataset splits.
 * :mod:`fnpred.tokenizer` — voting-based splitting of function names into
   word labels (frequency model, unigram LM, rule-based segmentation).
 * :mod:`fnpred.relations` — lexical relations between labels (synonym,
@@ -15,8 +16,8 @@ The package covers the full desk-scale pipeline:
 * :mod:`fnpred.metrics` — word-level precision/recall/F1, OOV ratio, KL.
 * :mod:`fnpred.cli` — the ``fnpred`` command-line entry point.
 
-The numeric kernels (Smith-Waterman, skip-gram epochs, depth-limited BFS)
-are plain Python/NumPy functions in :mod:`fnpred.kernels`.
+The two numeric kernels (Smith-Waterman and skip-gram epochs) are plain
+Python/NumPy functions in :mod:`fnpred.kernels`.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .metrics import (
     weighted_macro,
     word_level_counts,
 )
-from .params import ParamStore, load_checkpoint
+from .params import ParamTape, load_checkpoint
 from .pretrain import generate_pretrain_lines
 from .relations import (
     build_relation_groups,
@@ -35,7 +35,7 @@ from .relations import (
     train_skipgram,
     train_subword_embeddings,
 )
-from .tasks import NameVocabulary, SimilarityHeadParams, predict_name, score, similarity_h
+from .tasks import NameVocabulary, predict_name, score_tensor, similarity_h_tensor
 from .tokenizer import build_pipeline, bundled_corpus, bundled_lexicon, load_corpus, load_lexicon, preprocess_name
 from .trainer import (
     TrainConfig,
@@ -306,12 +306,12 @@ def _cmd_similarity(ns) -> tuple[str, list[str]]:
     for rid in (ns.id_a, ns.id_b):
         if rid not in records:
             raise ValueError(f"record id {rid!r} not present in {ns.input}")
-    head = SimilarityHeadParams.from_store(store)
+    tape = ParamTape(store, trainable=False)
     h = [
-        similarity_h(encode_function(records[rid], store, enc_config, token_vocab).emb.data)
+        similarity_h_tensor(encode_function(records[rid], tape, enc_config, token_vocab).emb)
         for rid in (ns.id_a, ns.id_b)
     ]
-    value = score(h[0], h[1], head)
+    value = score_tensor(h[0], h[1], tape).item()
     return f"score({ns.id_a}, {ns.id_b}) = {value:.6f}", []
 
 
@@ -366,7 +366,7 @@ def _cmd_evaluate(ns) -> tuple[str, list[str]]:
         truth_row = truths[rid]
         pred_labels = preds.get(rid, {"labels": []})["labels"]
         c = word_level_counts(pred_labels, truth_row["labels"], literal=ns.literal_counts)
-        overall = EvalCounts(overall.tp + c.tp, overall.fp + c.fp, overall.fn + c.fn)
+        overall = overall + c
         if group_keys:
             values = []
             for key in group_keys:
@@ -374,8 +374,7 @@ def _cmd_evaluate(ns) -> tuple[str, list[str]]:
                     raise ValueError(f"truth row {rid!r} lacks the {key!r} column needed for grouping")
                 values.append(truth_row[key])
             gkey = "/".join(values)
-            prev = grouped.get(gkey, EvalCounts(0, 0, 0))
-            grouped[gkey] = EvalCounts(prev.tp + c.tp, prev.fp + c.fp, prev.fn + c.fn)
+            grouped[gkey] = grouped.get(gkey, EvalCounts(0, 0, 0)) + c
             group_sizes[gkey] = group_sizes.get(gkey, 0) + 1
 
     report: dict = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .ingest import FineGrainedCFG, FunctionRecord, build_fine_grained_cfg, instruction_tokens, khop_neighborhood, normalize_record
+from .ingest import FineGrainedCFG, FunctionRecord, build_fine_grained_cfg, khop_neighborhood, record_tokens
 from .params import ParamStore, ParamTape
 from .pretrain import MASK_TOKEN, InfillingSample, InstructionPairSample
 
@@ -59,13 +59,8 @@ class TokenVocab:
 
     @classmethod
     def from_records(cls, records: Iterable[FunctionRecord], min_count: int = 1) -> "TokenVocab":
-        def corpus():
-            for rec in records:
-                norm = normalize_record(rec)
-                for ins in norm.instructions:
-                    yield instruction_tokens(ins)
-
-        return cls.build(corpus(), min_count=min_count)
+        corpus = (toks for rec in records for toks in record_tokens(rec))
+        return cls.build(corpus, min_count=min_count)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -342,14 +337,6 @@ def khop_message_pass(
     return _khop_tensor(cfg, Tensor(np.asarray(x, dtype=np.float64)), tape, layers, hops).data
 
 
-def readout(node_states: np.ndarray) -> np.ndarray:
-    """Graph readout: arithmetic mean over node states."""
-    node_states = np.asarray(node_states, dtype=np.float64)
-    if node_states.ndim != 2 or node_states.shape[0] == 0:
-        raise ValueError("readout requires a non-empty node-state matrix")
-    return node_states.mean(axis=0)
-
-
 # -- transformer over the token sequence -------------------------------------
 
 def _transformer_tensor(
@@ -407,21 +394,22 @@ def transformer_encode(
 
 # -- full function encoding ---------------------------------------------------
 
-def _encode_function_tensor(
+def encode_function(
     rec: FunctionRecord,
-    tape: ParamTape,
+    params: Union[ParamStore, ParamTape],
     config: EncoderConfig,
     vocab: TokenVocab,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> FunctionEncoding:
-    norm = normalize_record(rec)
-    per_ins_tokens = [instruction_tokens(ins) for ins in norm.instructions]
+    """Encode one function; pass a trainable tape to build a gradient graph."""
+    tape = _as_tape(params)
+    per_ins_tokens = record_tokens(rec)
     node_rows = [
         _conv_node_vector_tensor(tape, vocab.encode(toks), config) for toks in per_ins_tokens
     ]
     x = ag.concat(node_rows, axis=0)
-    cfg = build_fine_grained_cfg(norm)
+    cfg = build_fine_grained_cfg(rec)
     node_states = _khop_tensor(cfg, x, tape, config.gnn_layers, config.gnn_hops)
     h_g_raw = ag.mean(node_states, axis=0)
     h_g = ag.reshape(h_g_raw, (1, config.d_hidden)) @ tape.get("g_proj.w") + tape.get("g_proj.b")
@@ -437,18 +425,6 @@ def _encode_function_tensor(
         h_inst=h_inst,
         emb=emb,
     )
-
-
-def encode_function(
-    rec: FunctionRecord,
-    params: Union[ParamStore, ParamTape],
-    config: EncoderConfig,
-    vocab: TokenVocab,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> FunctionEncoding:
-    """Encode one function; pass a trainable tape to build a gradient graph."""
-    return _encode_function_tensor(rec, _as_tape(params), config, vocab, training=training, rng=rng)
 
 
 # -- pretraining losses --------------------------------------------------------

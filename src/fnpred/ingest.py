@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
-
-from .kernels import bfs_limited
 
 ARCHES = frozenset({"x86", "x64", "arm", "mips", "other"})
 OPT_LEVELS = frozenset({"O0", "O1", "O2", "O3", "Os", "unknown"})
@@ -88,9 +86,6 @@ class FineGrainedCFG:
     node_count: int
     directed: list[list[int]]
     undirected: list[np.ndarray]
-    _indptr: np.ndarray
-    _indices: np.ndarray
-    khop_cache: dict[int, list[np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
@@ -263,6 +258,11 @@ def instruction_tokens(inst: Instruction) -> list[str]:
     return [inst.mnemonic, *inst.operands]
 
 
+def record_tokens(rec: FunctionRecord) -> list[list[str]]:
+    """Normalized token list of each instruction, in program order."""
+    return [instruction_tokens(inst) for inst in normalize_record(rec).instructions]
+
+
 def build_fine_grained_cfg(rec: FunctionRecord) -> FineGrainedCFG:
     """One node per instruction; explicit edges plus synthesized fallthroughs.
 
@@ -288,38 +288,35 @@ def build_fine_grained_cfg(rec: FunctionRecord) -> FineGrainedCFG:
         for dst in directed[src]:
             undirected[src].add(dst)
             undirected[dst].add(src)
-    undirected_arr = [np.array(sorted(nbrs), dtype=np.int64) for nbrs in undirected]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        indptr[v + 1] = indptr[v] + undirected_arr[v].size
-    indices = (
-        np.concatenate(undirected_arr) if n and indptr[-1] > 0 else np.zeros(0, dtype=np.int64)
-    )
     return FineGrainedCFG(
         node_count=n,
         directed=[sorted(d) for d in directed],
-        undirected=undirected_arr,
-        _indptr=indptr,
-        _indices=indices,
+        undirected=[np.array(sorted(nbrs), dtype=np.int64) for nbrs in undirected],
     )
 
 
 def khop_neighborhood(cfg: FineGrainedCFG, v: int, k: int) -> np.ndarray:
-    """Nodes within undirected distance ``k`` of ``v``, excluding ``v``, sorted."""
+    """Nodes within undirected distance ``k`` of ``v``, excluding ``v``, sorted.
+
+    A frontier-by-frontier BFS over ``cfg.undirected`` that stops after
+    ``k`` hops, so its cost is linear in the edges it reaches.
+    """
     if k < 1:
         raise ValueError("k must be ≥ 1")
     if not 0 <= v < cfg.node_count:
         raise ValueError(f"node {v} out of range")
-    cached = cfg.khop_cache.get(k)
-    if cached is None:
-        cached = []
-        dist = np.empty(cfg.node_count, dtype=np.int64)
-        for node in range(cfg.node_count):
-            bfs_limited(cfg._indptr, cfg._indices, node, k, dist)
-            reached = np.nonzero(dist > 0)[0].astype(np.int64)
-            cached.append(reached)
-        cfg.khop_cache[k] = cached
-    return cached[v]
+    seen = {v}
+    frontier = [v]
+    for _ in range(k):
+        reached = []
+        for u in frontier:
+            for w in cfg.undirected[u].tolist():
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+        frontier = reached
+    seen.discard(v)
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 def extract_control_flow_sequences(rec: FunctionRecord) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Numeric kernels shared across the pipeline.
+"""The two numeric kernels of the label-relation stage.
 
 Each kernel is one plain function:
 
@@ -8,8 +8,6 @@ Each kernel is one plain function:
   sampling over precomputed (composition, context, negatives) triples.
   The same kernel serves plain word vectors (composition = the word row)
   and subword vectors (composition = n-gram rows plus the word row).
-* :func:`bfs_limited` — breadth-first distances from one source, cut off
-  at a maximum depth; used to collect k-hop neighborhoods.
 """
 
 from __future__ import annotations
@@ -73,21 +71,3 @@ def sgns_epoch(comp_flat, comp_off, ctx_rows, neg_rows, vec_in, vec_out, lr):
             vec_in[row] += step
     return loss
 
-
-def bfs_limited(indptr, indices, source, max_depth, dist):
-    """Fill ``dist`` with BFS depths from ``source``, -1 beyond ``max_depth``.
-
-    ``indptr``/``indices`` is a CSR adjacency over ``dist.size`` nodes.
-    """
-    dist[:] = -1
-    dist[source] = 0
-    queue = [source]
-    for u in queue:  # the queue grows while it is walked
-        du = dist[u]
-        if du >= max_depth:
-            continue
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import FunctionRecord, compute_defuse_pairs, instruction_tokens, normalize_instruction
+from .ingest import FunctionRecord, compute_defuse_pairs, record_tokens
 
 MASK_TOKEN = "[MASK]"
 SPAN_POISSON_LAM = 3.0
@@ -50,6 +50,11 @@ def derive_function_seed(seed: int, function_id: str) -> int:
 
 
 # -- text infilling ---------------------------------------------------------
+
+def infill_stream(rec: FunctionRecord) -> list[str]:
+    """The record's normalized tokens as one flat stream, the infilling input."""
+    return [tok for toks in record_tokens(rec) for tok in toks]
+
 
 def text_infilling(tokens: Sequence[str], mask_ratio: float, rng_seed: int) -> InfillingSample:
     """Mask ~mask_ratio of the tokens in Poisson-length spans.
@@ -135,10 +140,6 @@ def reconstruct_infilling(sample: InfillingSample) -> list[str]:
 
 # -- instruction-pair tasks -------------------------------------------------
 
-def _normalized_tokens(rec: FunctionRecord) -> list[list[str]]:
-    return [instruction_tokens(normalize_instruction(ins)) for ins in rec.instructions]
-
-
 def _sample_pairs(
     candidates: list[tuple[int, int]], count: int, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
@@ -164,7 +165,7 @@ def cdi_pairs(
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    tokens = _normalized_tokens(rec)
+    tokens = record_tokens(rec)
     block_pos: dict[int, tuple[str, int]] = {}
     counters: dict[str, int] = {}
     for i, ins in enumerate(rec.instructions):
@@ -201,7 +202,7 @@ def dui_pairs(
     rng_seed: int = 0,
 ) -> list[InstructionPairSample]:
     """Def-use inference pairs: positives straight from the def-use analysis."""
-    tokens = _normalized_tokens(rec)
+    tokens = record_tokens(rec)
     positives = compute_defuse_pairs(rec)
     if not positives:
         return []
@@ -263,7 +264,7 @@ def generate_pretrain_lines(
     for rec in records:
         fn_seed = derive_function_seed(seed, rec.id)
         if task == "infill":
-            flat = [tok for ins_toks in _normalized_tokens(rec) for tok in ins_toks]
+            flat = infill_stream(rec)
             if len(flat) < 2:
                 continue
             sample = text_infilling(flat, mask_ratio, fn_seed)

@@ -87,27 +87,6 @@ class NameVocabulary:
 
 
 @dataclass
-class SimilarityHeadParams:
-    W_h1: np.ndarray
-    b_h1: np.ndarray
-    W_h2: np.ndarray
-    b_h2: np.ndarray
-    M_cs: float = DEFAULT_MARGIN
-
-    def __post_init__(self) -> None:
-        if self.M_cs <= 0:
-            raise ValueError("margin must be positive")
-
-    @classmethod
-    def from_store(cls, store: ParamStore, margin: float = DEFAULT_MARGIN) -> "SimilarityHeadParams":
-        return cls(
-            W_h1=store.values["sim.w1"], b_h1=store.values["sim.b1"],
-            W_h2=store.values["sim.w2"], b_h2=store.values["sim.b2"],
-            M_cs=margin,
-        )
-
-
-@dataclass
 class TrainTriplet:
     anchor: int
     positive: int
@@ -256,10 +235,6 @@ def similarity_h_tensor(emb: Union[Tensor, np.ndarray]) -> Tensor:
     return ag.tanh(ag.max_(_as_emb_tensor(emb), axis=0))
 
 
-def similarity_h(emb: np.ndarray) -> np.ndarray:
-    return similarity_h_tensor(emb).data
-
-
 def score_tensor(h1: Tensor, h2: Tensor, tape: ParamTape) -> Tensor:
     """Cosine similarity of the two affine projections (gradient-capable)."""
     p1 = ag.reshape(h1, (1, h1.shape[-1])) @ tape.get("sim.w1") + tape.get("sim.b1")
@@ -272,19 +247,6 @@ def score_tensor(h1: Tensor, h2: Tensor, tape: ParamTape) -> Tensor:
     norm1 = ag.sum_(p1 * p1) ** 0.5
     norm2 = ag.sum_(p2 * p2) ** 0.5
     return dot * (norm1 * norm2) ** -1.0
-
-
-def score(h1: np.ndarray, h2: np.ndarray, head: SimilarityHeadParams) -> float:
-    """Cosine similarity of the projected pooled encodings, in [-1, 1]."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    p1 = h1 @ head.W_h1 + head.b_h1
-    p2 = h2 @ head.W_h2 + head.b_h2
-    n1 = np.linalg.norm(p1)
-    n2 = np.linalg.norm(p2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("degenerate projection")
-    return float(p1 @ p2 / (n1 * n2))
 
 
 def ranking_loss(

@@ -49,16 +49,6 @@ class RuleLexicon:
 
 
 @dataclass
-class TokenizationResult:
-    name: str
-    boundaries_tf: tuple[int, ...]
-    boundaries_unigram: tuple[int, ...]
-    boundaries_rule: tuple[int, ...]
-    final_boundaries: tuple[int, ...]
-    labels: list[str]
-
-
-@dataclass
 class TokenizerPipeline:
     tf: TFModel
     unigram: UnigramModel
@@ -276,7 +266,7 @@ def _segment_suspect(segment: str, lexicon: RuleLexicon) -> bool:
     return len(segment) > 3 and not lexicon.covers(segment)
 
 
-def tokenize_name(pipeline: TokenizerPipeline, name: str) -> TokenizationResult:
+def tokenize_name(pipeline: TokenizerPipeline, name: str) -> list[str]:
     """Full ensemble: convention pre-split, per-segment voting, lowercased labels."""
     if not name:
         raise ValueError("empty name")
@@ -284,9 +274,6 @@ def tokenize_name(pipeline: TokenizerPipeline, name: str) -> TokenizationResult:
     if not segments:
         raise ValueError(f"name {name!r} contains no tokenizable characters")
     stripped = "".join(segments)
-    b_tf: set[int] = set()
-    b_uni: set[int] = set()
-    b_rule: set[int] = set()
     voted: set[int] = set()
     joints: set[int] = set()
     offset = 0
@@ -297,22 +284,11 @@ def tokenize_name(pipeline: TokenizerPipeline, name: str) -> TokenizationResult:
             tf_cuts = tf_tokenize(pipeline.tf, segment)
             uni_cuts = unigram_tokenize(pipeline.unigram, segment)
             rule_cuts = rule_tokenize(pipeline.lexicon, segment)
-            b_tf.update(offset + p for p in tf_cuts)
-            b_uni.update(offset + p for p in uni_cuts)
-            b_rule.update(offset + p for p in rule_cuts)
             voted.update(offset + p for p in vote(tf_cuts, uni_cuts, rule_cuts, segment, pipeline.lexicon))
         offset += len(segment)
     final = sorted(joints | voted)
     bounds = [0, *final, len(stripped)]
-    labels = [stripped[a:b] for a, b in zip(bounds, bounds[1:])]
-    return TokenizationResult(
-        name=name,
-        boundaries_tf=tuple(sorted(joints | b_tf)),
-        boundaries_unigram=tuple(sorted(joints | b_uni)),
-        boundaries_rule=tuple(sorted(joints | b_rule)),
-        final_boundaries=tuple(final),
-        labels=labels,
-    )
+    return [stripped[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def expand_abbreviations(labels: Sequence[str], lexicon: RuleLexicon) -> list[str]:
@@ -322,7 +298,7 @@ def expand_abbreviations(labels: Sequence[str], lexicon: RuleLexicon) -> list[st
 
 def preprocess_name(pipeline: TokenizerPipeline, name: str, expand: bool = True) -> list[str]:
     """tokenize_name followed by abbreviation expansion (the full pipeline)."""
-    labels = tokenize_name(pipeline, name).labels
+    labels = tokenize_name(pipeline, name)
     return expand_abbreviations(labels, pipeline.lexicon) if expand else labels
 
 

@@ -24,10 +24,10 @@ from .encoder import (
     encode_function,
     init_encoder_params,
 )
-from .ingest import FunctionRecord, instruction_tokens, normalize_record
+from .ingest import FunctionRecord
 from .metrics import evaluate_pairs
 from .params import ParamStore, ParamTape, save_checkpoint
-from .pretrain import InfillingSample, cdi_pairs, dui_pairs, text_infilling
+from .pretrain import cdi_pairs, dui_pairs, infill_stream, text_infilling
 from .tasks import (
     NameVocabulary,
     init_task_params,
@@ -293,12 +293,7 @@ def gradcheck_paths(seed: int = 0) -> tuple[ParamStore, dict[str, Callable[[Para
     """
     records = _gradcheck_records()
     config = EncoderConfig.toy()
-    corpus = [
-        instruction_tokens(ins)
-        for rec in records
-        for ins in normalize_record(rec).instructions
-    ]
-    vocab = TokenVocab.build(corpus)
+    vocab = TokenVocab.from_records(records)
     name_vocab = NameVocabulary.build(
         [["load", "config"], ["store", "value"], ["free", "buffer"]]
     )
@@ -306,8 +301,7 @@ def gradcheck_paths(seed: int = 0) -> tuple[ParamStore, dict[str, Callable[[Para
     init_encoder_params(store, config, len(vocab))
     init_task_params(store, config, len(name_vocab))
 
-    flat = [t for ins in normalize_record(records[0]).instructions for t in instruction_tokens(ins)]
-    infill_sample = text_infilling(flat, 0.3, 11)
+    infill_sample = text_infilling(infill_stream(records[0]), 0.3, 11)
     if not any(span for _, span in infill_sample.targets):
         raise RuntimeError("gradcheck fixture produced an empty infilling sample")
     cdi_batch = cdi_pairs(records[0], w=2, negatives_per_positive=1, rng_seed=3)[:4]
@@ -368,10 +362,6 @@ class PretrainResult:
     trained_record_ids: set[str] = field(default_factory=set)
 
 
-def _flat_tokens(rec: FunctionRecord) -> list[str]:
-    return [t for ins in normalize_record(rec).instructions for t in instruction_tokens(ins)]
-
-
 def _draw_pretrain_batch(
     task: str,
     records: Sequence[FunctionRecord],
@@ -385,7 +375,7 @@ def _draw_pretrain_batch(
         attempts += 1
         rec = records[int(rng.integers(len(records)))]
         if task == "infill":
-            flat = _flat_tokens(rec)
+            flat = infill_stream(rec)
             if len(flat) < 2:
                 continue
             samples.append(text_infilling(flat, cfg.mask_ratio, int(rng.integers(1 << 31))))
@@ -413,7 +403,7 @@ def _draw_pretrain_batch(
 
 
 def _check_task_streams(records: Sequence[FunctionRecord], cfg: TrainConfig) -> None:
-    if not any(len(_flat_tokens(r)) >= 2 for r in records):
+    if not any(len(infill_stream(r)) >= 2 for r in records):
         raise ValueError("no samples available for pretraining task 'infill'")
     if not any(cdi_pairs(r, w=cfg.cdi_window, rng_seed=0) for r in records):
         raise ValueError("no samples available for pretraining task 'cdi'")

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import fnpred
 from conftest import defuse_chain_record, make_dataset, write_jsonl
 from fnpred.cli import run
 
@@ -82,9 +83,13 @@ class TestParsingAndHelp:
             assert command in out
 
     def test_module_entry_point(self):
+        # The child imports the same package as this test, also when pytest
+        # found it through its own ``pythonpath`` setting.
+        src = os.path.dirname(os.path.dirname(fnpred.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "fnpred.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "COMMAND" in proc.stdout

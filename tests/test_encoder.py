@@ -21,7 +21,6 @@ from fnpred.encoder import (
     encode_function,
     init_encoder_params,
     khop_message_pass,
-    readout,
     transformer_encode,
     _conv_node_vector_tensor,
 )
@@ -368,27 +367,6 @@ class TestKhopMessagePassing:
         assert np.isfinite(out).all()
 
 
-class TestReadout:
-    def test_single_node_is_identity(self):
-        v = np.array([[1.0, -2.0, 3.0]])
-        assert np.array_equal(readout(v), v[0])
-
-    def test_identical_states_read_out_unchanged(self):
-        states = np.tile([2.0, 5.0], (4, 1))
-        assert np.allclose(readout(states), [2.0, 5.0])
-
-    def test_five_node_mean(self):
-        rng = np.random.default_rng(3)
-        states = rng.normal(size=(5, 7))
-        assert np.allclose(readout(states), states.mean(axis=0), atol=1e-15)
-
-    def test_rejects_empty_or_flat_input(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            readout(np.zeros((0, 4)))
-        with pytest.raises(ValueError, match="non-empty"):
-            readout(np.zeros(4))
-
-
 # -- transformer ----------------------------------------------------------------
 
 class TestTransformer:
@@ -487,7 +465,7 @@ class TestEncodeFunction:
         store = toy_store(len(vocab), seed=8)
         enc = encode_function(records[0], store, TOY, vocab)
         want = (
-            readout(enc.node_states.data) @ store.values["g_proj.w"]
+            enc.node_states.data.mean(axis=0) @ store.values["g_proj.w"]
             + store.values["g_proj.b"]
         )
         assert np.allclose(enc.h_G.data, want, atol=1e-12)

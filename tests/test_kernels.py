@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fnpred.kernels import bfs_limited, sgns_epoch, smith_waterman_score
+from fnpred.kernels import sgns_epoch, smith_waterman_score
 
 # -- independent oracles -------------------------------------------------------
 
@@ -49,23 +49,6 @@ def sw_exhaustive_oracle(a: str, b: str) -> float:
     return best
 
 
-def bfs_oracle(adj: dict[int, list[int]], n: int, source: int, max_depth: int) -> list[int]:
-    from collections import deque
-
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= max_depth:
-            continue
-        for v in adj.get(u, []):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def sgns_oracle(comp_flat, comp_off, ctx_rows, neg_rows, vec_in, vec_out, lr) -> float:
     """Scalar-by-scalar SGNS epoch with word2vec's sequential update order."""
     dim = vec_in.shape[1]
@@ -95,16 +78,6 @@ def sgns_oracle(comp_flat, comp_off, ctx_rows, neg_rows, vec_in, vec_out, lr) ->
             for d in range(dim):
                 vec_in[row, d] += err[d] * inv
     return loss
-
-
-def to_csr(adj: dict[int, list[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = []
-    for u in range(n):
-        nbrs = sorted(adj.get(u, []))
-        indices.extend(nbrs)
-        indptr[u + 1] = len(indices)
-    return indptr, np.asarray(indices, dtype=np.int64)
 
 
 # -- Smith-Waterman ------------------------------------------------------------
@@ -241,37 +214,3 @@ class TestSgnsEpoch:
         ]
         assert losses[-1] < losses[0]
 
-
-# -- depth-limited BFS ---------------------------------------------------------
-
-class TestBfsLimited:
-    def test_path_graph_depths(self):
-        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-        indptr, indices = to_csr(adj, 4)
-        dist = np.empty(4, dtype=np.int64)
-        bfs_limited(indptr, indices, 1, 2, dist)
-        assert list(dist) == [1, 0, 1, 2]
-
-    def test_depth_cutoff(self):
-        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-        indptr, indices = to_csr(adj, 4)
-        dist = np.empty(4, dtype=np.int64)
-        bfs_limited(indptr, indices, 0, 1, dist)
-        assert list(dist) == [0, 1, -1, -1]
-
-    def test_random_graphs_match_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            n = int(rng.integers(1, 21))
-            adj: dict[int, list[int]] = {u: [] for u in range(n)}
-            for _ in range(int(rng.integers(0, 2 * n + 1))):
-                u, v = int(rng.integers(n)), int(rng.integers(n))
-                if u != v and v not in adj[u]:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            indptr, indices = to_csr(adj, n)
-            source = int(rng.integers(n))
-            depth = int(rng.integers(1, 5))
-            dist = np.empty(n, dtype=np.int64)
-            bfs_limited(indptr, indices, source, depth, dist)
-            assert list(dist) == bfs_oracle(adj, n, source, depth)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import defuse_chain_record, make_dataset, make_record
-from fnpred.ingest import FunctionRecord, Instruction, compute_defuse_pairs
+from fnpred.encoder import TokenVocab
+from fnpred.ingest import FunctionRecord, Instruction, compute_defuse_pairs, normalize_record, record_tokens
 from fnpred.pretrain import (
     MASK_TOKEN,
     InfillingSample,
@@ -307,3 +308,59 @@ class TestSeedsAndLines:
             "tokens_b": pair.tokens_b,
             "label": pair.label,
         }
+
+
+# -- one token path --------------------------------------------------------------
+
+def raw_mixed_record() -> FunctionRecord:
+    """Unnormalized input: mixed-case mnemonics and registers, a large
+    immediate, a branch target and a quoted literal."""
+    rows = [
+        ("MOV", ["EAX", "0x4005d0"], 0),
+        ("Cmp", ["eax", "0x10"], 0),
+        ("JNE", ["0x401a2c"], 0),
+        ("Push", ['"fmt"'], 1),
+        ("CALL", ["printf"], 1),
+        ("Xor", ["eax", "EAX"], 1),
+        ("RET", [], 1),
+    ]
+    instructions = [
+        Instruction(index=j, mnemonic=m, operands=ops, block_id=b) for j, (m, ops, b) in enumerate(rows)
+    ]
+    return FunctionRecord(
+        id="raw0", name="emit_fmt", source_id="s0", arch="x86", opt="O0",
+        instructions=instructions, edges=[(2, 4, "jump")],
+    )
+
+
+class TestRecordTokens:
+    def test_every_consumer_sees_record_tokens(self):
+        rec = raw_mixed_record()
+        rows = record_tokens(rec)
+        assert rows == [
+            ["mov", "eax", "<imm>"],
+            ["cmp", "eax", "0x10"],
+            ["jne", "<loc>"],
+            ["push", "<str>"],
+            ["call", "printf"],
+            ["xor", "eax", "eax"],
+            ["ret"],
+        ]
+        assert record_tokens(rec) == record_tokens(normalize_record(rec))
+
+        vocab = TokenVocab.from_records([rec])
+        assert set(vocab.id_to_token[4:]) == {tok for row in rows for tok in row}
+
+        cdi, dui = cdi_pairs(rec, rng_seed=1), dui_pairs(rec, rng_seed=1)
+        assert cdi and dui
+        for sample in cdi + dui:
+            assert sample.tokens_a in rows and sample.tokens_b in rows
+        for task in ("cdi", "dui"):
+            for line in generate_pretrain_lines([rec], task, seed=3):
+                obj = json.loads(line)
+                assert obj["tokens_a"] in rows and obj["tokens_b"] in rows
+
+        (line,) = generate_pretrain_lines([rec], "infill", seed=3)
+        obj = json.loads(line)
+        sample = InfillingSample(noised=obj["noised"], targets=[(s, span) for s, span in obj["targets"]])
+        assert reconstruct_infilling(sample) == [tok for row in rows for tok in row]

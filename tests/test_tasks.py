@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_record
+from fnpred.autograd import Tensor
 from fnpred.encoder import EncoderConfig
 from fnpred.params import ParamStore, ParamTape
 from fnpred.tasks import (
@@ -16,7 +17,6 @@ from fnpred.tasks import (
     NAME_PAD,
     NAME_UNK,
     NameVocabulary,
-    SimilarityHeadParams,
     TrainTriplet,
     decode_step_probs,
     init_task_params,
@@ -25,9 +25,7 @@ from fnpred.tasks import (
     predict_name,
     ranking_loss,
     sample_triplet,
-    score,
     score_tensor,
-    similarity_h,
     similarity_h_tensor,
 )
 
@@ -100,10 +98,21 @@ def decoder_oracle(emb, prefix_ids, store, config):
     return ln_oracle(x, v["dec_final_ln.g"], v["dec_final_ln.b"])
 
 
-def identity_head(d: int, m_cs: float = 0.5) -> SimilarityHeadParams:
-    return SimilarityHeadParams(
-        W_h1=np.eye(d), b_h1=np.zeros(d), W_h2=np.eye(d), b_h2=np.zeros(d), M_cs=m_cs
-    )
+def head_tape(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> ParamTape:
+    """A frozen tape holding only the similarity head's projections."""
+    store = ParamStore()
+    for name, value in (("sim.w1", w1), ("sim.b1", b1), ("sim.w2", w2), ("sim.b2", b2)):
+        store.add(name, value)
+    return ParamTape(store, trainable=False)
+
+
+def identity_head(d: int) -> ParamTape:
+    return head_tape(np.eye(d), np.zeros(d), np.eye(d), np.zeros(d))
+
+
+def head_score(h1: np.ndarray, h2: np.ndarray, tape: ParamTape) -> float:
+    return score_tensor(Tensor(np.asarray(h1, dtype=np.float64)),
+                        Tensor(np.asarray(h2, dtype=np.float64)), tape).item()
 
 
 # -- vocabulary ----------------------------------------------------------------
@@ -304,11 +313,11 @@ class TestPredictName:
 class TestSimilarityH:
     def test_single_position_is_tanh(self):
         v = np.array([[0.0, 1.0, -2.0, 0.5]])
-        assert np.allclose(similarity_h(v), np.tanh(v[0]), atol=1e-15)
+        assert np.allclose(similarity_h_tensor(v).data, np.tanh(v[0]), atol=1e-15)
 
     def test_components_stay_inside_open_interval(self):
         emb = np.random.default_rng(1).normal(scale=5.0, size=(6, 8))
-        h = similarity_h(emb)
+        h = similarity_h_tensor(emb).data
         assert np.all(np.abs(h) < 1.0)
 
     def test_matches_per_dimension_max_oracle_on_5x8(self):
@@ -320,72 +329,66 @@ class TestSimilarityH:
                 if emb[row, dim] > best:
                     best = emb[row, dim]
             want[dim] = math.tanh(best)
-        assert np.allclose(similarity_h(emb), want, atol=1e-12)
+        assert np.allclose(similarity_h_tensor(emb).data, want, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="non-empty 2-D"):
-            similarity_h(np.zeros((0, 4)))
+            similarity_h_tensor(np.zeros((0, 4)))
 
 
 class TestScore:
     def test_identity_head_identical_vectors(self):
         h = np.array([0.3, -1.2, 0.8])
         head = identity_head(3)
-        assert score(h, h, head) == pytest.approx(1.0, abs=1e-12)
+        assert head_score(h, h, head) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_head_negated_vector(self):
         h = np.array([0.3, -1.2, 0.8])
         head = identity_head(3)
-        assert score(h, -h, head) == pytest.approx(-1.0, abs=1e-12)
+        assert head_score(h, -h, head) == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_cosine_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             d = int(rng.integers(2, 9))
-            head = SimilarityHeadParams(
-                W_h1=rng.normal(size=(d, d)), b_h1=rng.normal(size=d),
-                W_h2=rng.normal(size=(d, d)), b_h2=rng.normal(size=d),
-            )
+            w1, b1 = rng.normal(size=(d, d)), rng.normal(size=d)
+            w2, b2 = rng.normal(size=(d, d)), rng.normal(size=d)
+            head = head_tape(w1, b1, w2, b2)
             h1, h2 = rng.normal(size=d), rng.normal(size=d)
-            p1 = h1 @ head.W_h1 + head.b_h1
-            p2 = h2 @ head.W_h2 + head.b_h2
+            p1 = h1 @ w1 + b1
+            p2 = h2 @ w2 + b2
             want = float(np.dot(p1, p2) / (np.linalg.norm(p1) * np.linalg.norm(p2)))
-            assert score(h1, h2, head) == pytest.approx(want, abs=1e-12)
-            assert -1.0 <= score(h1, h2, head) <= 1.0
+            got = head_score(h1, h2, head)
+            assert got == pytest.approx(want, abs=1e-12)
+            assert -1.0 <= got <= 1.0
 
     def test_invariant_to_positive_rescaling_of_projections(self):
         rng = np.random.default_rng(4)
         d = 5
         w1, w2 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
         h1, h2 = rng.normal(size=d), rng.normal(size=d)
-        base = SimilarityHeadParams(W_h1=w1, b_h1=np.zeros(d), W_h2=w2, b_h2=np.zeros(d))
-        scaled = SimilarityHeadParams(
-            W_h1=3.7 * w1, b_h1=np.zeros(d), W_h2=0.2 * w2, b_h2=np.zeros(d)
-        )
-        assert score(h1, h2, base) == pytest.approx(score(h1, h2, scaled), abs=1e-12)
+        base = head_tape(w1, np.zeros(d), w2, np.zeros(d))
+        scaled = head_tape(3.7 * w1, np.zeros(d), 0.2 * w2, np.zeros(d))
+        assert head_score(h1, h2, base) == pytest.approx(head_score(h1, h2, scaled), abs=1e-12)
 
     def test_degenerate_projection_rejected(self):
         d = 4
-        head = SimilarityHeadParams(
-            W_h1=np.zeros((d, d)), b_h1=np.zeros(d), W_h2=np.eye(d), b_h2=np.zeros(d)
-        )
+        head = head_tape(np.zeros((d, d)), np.zeros(d), np.eye(d), np.zeros(d))
         with pytest.raises(ValueError, match="degenerate projection"):
-            score(np.ones(d), np.ones(d), head)
-
-    def test_margin_must_be_positive(self):
-        with pytest.raises(ValueError, match="margin"):
-            identity_head(3, m_cs=0.0)
+            head_score(np.ones(d), np.ones(d), head)
 
     def test_score_tensor_matches_plain_score_and_backprops(self):
         vocab = vocab10()
         store = task_store(len(vocab), seed=9)
-        head = SimilarityHeadParams.from_store(store)
+        v = store.values
         rng = np.random.default_rng(9)
         h1, h2 = rng.normal(size=16), rng.normal(size=16)
         tape = ParamTape(store, trainable=True)
         out = score_tensor(similarity_h_tensor(h1[None, :]),
                            similarity_h_tensor(h2[None, :]), tape)
-        want = score(np.tanh(h1), np.tanh(h2), head)
+        p1 = np.tanh(h1) @ v["sim.w1"] + v["sim.b1"]
+        p2 = np.tanh(h2) @ v["sim.w2"] + v["sim.b2"]
+        want = float(np.dot(p1, p2) / (np.linalg.norm(p1) * np.linalg.norm(p2)))
         assert out.data == pytest.approx(want, abs=1e-12)
         out.backward()
         tape.flush_grads()

@@ -199,16 +199,16 @@ class TestVote:
 
 class TestFullPipeline:
     def test_zipfile_next(self, pipeline):
-        assert tokenize_name(pipeline, "zipfileNext").labels == ["zip", "file", "next"]
+        assert tokenize_name(pipeline, "zipfileNext") == ["zip", "file", "next"]
 
     def test_typename_type_mod(self, pipeline):
-        assert tokenize_name(pipeline, "typenameTypeMod").labels == ["type", "name", "type", "mod"]
+        assert tokenize_name(pipeline, "typenameTypeMod") == ["type", "name", "type", "mod"]
 
     def test_atexit(self, pipeline):
-        assert tokenize_name(pipeline, "atexit").labels == ["at", "exit"]
+        assert tokenize_name(pipeline, "atexit") == ["at", "exit"]
 
     def test_timeset(self, pipeline):
-        assert tokenize_name(pipeline, "timeset").labels == ["time", "set"]
+        assert tokenize_name(pipeline, "timeset") == ["time", "set"]
 
     def test_empty_name_rejected(self, pipeline):
         with pytest.raises(ValueError):
@@ -219,7 +219,7 @@ class TestFullPipeline:
             tokenize_name(pipeline, "___")
 
     def test_digit_segments_pass_through(self, pipeline):
-        assert "2" in tokenize_name(pipeline, "x2realloc").labels
+        assert "2" in tokenize_name(pipeline, "x2realloc")
 
     def test_expand_abbreviations(self, pipeline):
         assert expand_abbreviations(["msg", "send"], pipeline.lexicon) == ["message", "send"]
@@ -243,9 +243,9 @@ class TestFullPipeline:
             name = "_".join(parts)
         else:
             name = parts[0] + "".join(p.capitalize() for p in parts[1:])
-        result = tokenize_name(pipeline, name)
-        assert "".join(result.labels) == "".join(split_by_convention(name))
-        assert all(result.labels), "no empty labels"
+        labels = tokenize_name(pipeline, name)
+        assert "".join(labels) == "".join(split_by_convention(name))
+        assert all(labels), "no empty labels"
 
 
 class TestLexiconParsing:
