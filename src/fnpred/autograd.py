@@ -319,37 +319,6 @@ def tanh(a: ArrayLike) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def exp(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), bw)
-
-
-def log(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g / a.data)
-
-    return _make(out_data, (a,), bw)
-
-
-def sigmoid(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(g: np.ndarray) -> None:
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bw)
-
-
 def softplus(a: ArrayLike) -> Tensor:
     """Numerically stable log(1 + e^x)."""
     a = as_tensor(a)

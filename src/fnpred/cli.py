@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--ablate", choices=["none", "no-pretrain", "no-similarity"], default="none")
-    p.add_argument("--alm-checkpoint", default=None, help="start from a pretrained checkpoint directory")
+    p.add_argument("--alm-checkpoint", default=None, help="copy the encoder and token vocabulary from this "
+                   "checkpoint directory instead of pretraining; the decoder and similarity head start fresh")
     p.add_argument("--pretrain-steps", type=int, default=6)
     p.add_argument("--max-steps", type=int, default=None, help="override config max_steps for fine-tuning")
     p.add_argument("--jcs-inverted", action="store_true", help="use the inverted-sign ranking hinge")
@@ -239,29 +240,26 @@ def _cmd_train(ns) -> tuple[str, list[str]]:
     valid_labels = [labels[r.id] for r in valid_records]
     name_vocab = NameVocabulary.build(train_labels)
 
-    artifacts: list[str] = []
     if ns.alm_checkpoint:
-        store = load_checkpoint(ns.alm_checkpoint)
-        tok_path = os.path.join(ns.alm_checkpoint, "token_vocab.txt")
-        if not os.path.exists(tok_path):
-            raise ValueError("checkpoint directory lacks token_vocab.txt")
-        token_vocab = TokenVocab.load(tok_path)
-        if store.values["tok_emb"].shape[0] != len(token_vocab):
-            raise ValueError("checkpoint token-embedding shape does not match its vocabulary")
-        store.opt_state.clear()
-        store.step_count = 0
+        token_vocab = TokenVocab.load(os.path.join(ns.alm_checkpoint, "token_vocab.txt"))
     else:
         token_vocab = TokenVocab.from_records(train_records)
-        store = build_stores(enc_config, len(token_vocab), len(name_vocab), cfg.seed)
-        if ns.ablate != "no-pretrain" and ns.pretrain_steps > 0:
-            pre = pretrain_alm(
-                train_records, valid_records, store, enc_config, token_vocab, cfg,
-                os.path.join(ns.out_dir, "pretrain"), max_steps=ns.pretrain_steps,
-            )
-            for d in pre.checkpoint_dirs.values():
-                artifacts.extend(_write_model_extras(d, token_vocab, name_vocab, enc_config, cfg))
-            store.opt_state.clear()
-            store.step_count = 0
+    # Not kept past this call: with its Adam moments a checkpoint is 3x the store's size.
+    store = build_stores(
+        enc_config, len(token_vocab), len(name_vocab), cfg.seed,
+        encoder_from=load_checkpoint(ns.alm_checkpoint) if ns.alm_checkpoint else None,
+    )
+
+    artifacts: list[str] = []
+    if not ns.alm_checkpoint and ns.ablate != "no-pretrain" and ns.pretrain_steps > 0:
+        pre = pretrain_alm(
+            train_records, valid_records, store, enc_config, token_vocab, cfg,
+            os.path.join(ns.out_dir, "pretrain"), max_steps=ns.pretrain_steps,
+        )
+        for d in pre.checkpoint_dirs.values():
+            artifacts.extend(_write_model_extras(d, token_vocab, name_vocab, enc_config, cfg))
+        store.opt_state.clear()
+        store.step_count = 0
 
     result = train_multitask(
         train_records, train_labels, valid_records, valid_labels, store,

@@ -127,9 +127,6 @@ class EncoderConfig:
 
 @dataclass
 class FunctionEncoding:
-    node_states: Tensor  # node_count x d_hidden
-    h_G: Tensor  # d_hidden (projected graph readout)
-    h_inst: Tensor  # d_hidden (mean-pooled token states)
     emb: Tensor  # (1 + token_count) x d_hidden
 
 
@@ -410,21 +407,14 @@ def encode_function(
     ]
     x = ag.concat(node_rows, axis=0)
     cfg = build_fine_grained_cfg(rec)
-    node_states = _khop_tensor(cfg, x, tape, config.gnn_layers, config.gnn_hops)
-    h_g_raw = ag.mean(node_states, axis=0)
+    nodes = _khop_tensor(cfg, x, tape, config.gnn_layers, config.gnn_hops)
+    h_g_raw = ag.mean(nodes, axis=0)
     h_g = ag.reshape(h_g_raw, (1, config.d_hidden)) @ tape.get("g_proj.w") + tape.get("g_proj.b")
     flat_ids = np.asarray(
         vocab.encode([t for toks in per_ins_tokens for t in toks]), dtype=np.int64
     )
     token_states = _transformer_tensor(flat_ids, tape, config, training=training, rng=rng)
-    h_inst = _pooled_mean(token_states, flat_ids)
-    emb = ag.concat([h_g, token_states], axis=0)
-    return FunctionEncoding(
-        node_states=node_states,
-        h_G=ag.reshape(h_g, (config.d_hidden,)),
-        h_inst=h_inst,
-        emb=emb,
-    )
+    return FunctionEncoding(emb=ag.concat([h_g, token_states], axis=0))
 
 
 # -- pretraining losses --------------------------------------------------------

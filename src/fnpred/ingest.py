@@ -319,20 +319,6 @@ def khop_neighborhood(cfg: FineGrainedCFG, v: int, k: int) -> np.ndarray:
     return np.array(sorted(seen), dtype=np.int64)
 
 
-def extract_control_flow_sequences(rec: FunctionRecord) -> list[list[int]]:
-    """Per-basic-block instruction index sequences in program order."""
-    if not rec.instructions:
-        raise ValueError(f"function {rec.id!r} has no instructions")
-    sequences: list[list[int]] = []
-    block_order: dict[int, int] = {}
-    for inst in rec.instructions:
-        if inst.block_id not in block_order:
-            block_order[inst.block_id] = len(sequences)
-            sequences.append([])
-        sequences[block_order[inst.block_id]].append(inst.index)
-    return sequences
-
-
 def _register_tokens(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT_RE.split(text.lower()) if t and _REGISTER_RE.match(t)]
 

@@ -64,9 +64,6 @@ class ParamStore:
     def names(self) -> Iterator[str]:
         return iter(self.values)
 
-    def total_size(self) -> int:
-        return sum(v.size for v in self.values.values())
-
     def grad_norm(self) -> float:
         total = 0.0
         for g in self.grads.values():

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ingest import FunctionRecord, compute_defuse_pairs, record_tokens
 
+PRETRAIN_TASKS = ("infill", "cdi", "dui")
 MASK_TOKEN = "[MASK]"
 SPAN_POISSON_LAM = 3.0
 DEFAULT_MASK_RATIO = 0.15
@@ -249,6 +250,26 @@ def pair_sample_to_json(function_id: str, sample: InstructionPairSample) -> str:
     )
 
 
+def task_samples(
+    rec: FunctionRecord,
+    task: str,
+    seed: int,
+    mask_ratio: float = DEFAULT_MASK_RATIO,
+    w: int = DEFAULT_CDI_WINDOW,
+    negatives_per_positive: int = DEFAULT_NEGATIVES_PER_POSITIVE,
+) -> list:
+    """Every sample of one record for a task: all CDI or DUI pairs, or one
+    infilling sample (none when the record has fewer than 2 tokens)."""
+    if task == "infill":
+        flat = infill_stream(rec)
+        return [text_infilling(flat, mask_ratio, seed)] if len(flat) >= 2 else []
+    if task == "cdi":
+        return cdi_pairs(rec, w=w, negatives_per_positive=negatives_per_positive, rng_seed=seed)
+    if task == "dui":
+        return dui_pairs(rec, negatives_per_positive=negatives_per_positive, rng_seed=seed)
+    raise ValueError(f"unknown pretraining task {task!r}")
+
+
 def generate_pretrain_lines(
     records: Iterable[FunctionRecord],
     task: str,
@@ -258,21 +279,13 @@ def generate_pretrain_lines(
     negatives_per_positive: int = DEFAULT_NEGATIVES_PER_POSITIVE,
 ) -> list[str]:
     """JSONL lines for one pretraining task across a record stream."""
-    if task not in ("infill", "cdi", "dui"):
+    if task not in PRETRAIN_TASKS:
         raise ValueError(f"unknown pretraining task {task!r}")
+    to_json = infilling_sample_to_json if task == "infill" else pair_sample_to_json
     lines: list[str] = []
     for rec in records:
-        fn_seed = derive_function_seed(seed, rec.id)
-        if task == "infill":
-            flat = infill_stream(rec)
-            if len(flat) < 2:
-                continue
-            sample = text_infilling(flat, mask_ratio, fn_seed)
-            lines.append(infilling_sample_to_json(rec.id, sample))
-        elif task == "cdi":
-            for pair in cdi_pairs(rec, w=w, negatives_per_positive=negatives_per_positive, rng_seed=fn_seed):
-                lines.append(pair_sample_to_json(rec.id, pair))
-        else:
-            for pair in dui_pairs(rec, negatives_per_positive=negatives_per_positive, rng_seed=fn_seed):
-                lines.append(pair_sample_to_json(rec.id, pair))
+        samples = task_samples(
+            rec, task, derive_function_seed(seed, rec.id), mask_ratio, w, negatives_per_positive
+        )
+        lines.extend(to_json(rec.id, sample) for sample in samples)
     return lines

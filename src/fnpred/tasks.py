@@ -250,11 +250,11 @@ def score_tensor(h1: Tensor, h2: Tensor, tape: ParamTape) -> Tensor:
 
 
 def ranking_loss(
-    f_pos: Union[float, Tensor],
-    f_neg: Union[float, Tensor],
+    f_pos: Tensor,
+    f_neg: Tensor,
     m_cs: float = DEFAULT_MARGIN,
     variant: str = "margin",
-) -> Union[float, Tensor]:
+) -> Tensor:
     """Hinge ranking loss J_cs.
 
     The default ``margin`` variant, max(M - (f_pos - f_neg), 0), rewards the
@@ -266,13 +266,9 @@ def ranking_loss(
         raise ValueError("margin must be positive")
     if variant not in RANKING_VARIANTS:
         raise ValueError(f"unknown ranking-loss variant {variant!r}")
-    if isinstance(f_pos, Tensor) or isinstance(f_neg, Tensor):
-        diff = ag.as_tensor(f_pos) - ag.as_tensor(f_neg)
-        gap = (m_cs - diff) if variant == "margin" else (diff - m_cs)
-        return ag.relu(gap)
-    diff = float(f_pos) - float(f_neg)
+    diff = f_pos - f_neg
     gap = (m_cs - diff) if variant == "margin" else (diff - m_cs)
-    return max(gap, 0.0)
+    return ag.relu(gap)
 
 
 def joint_loss(
@@ -280,13 +276,11 @@ def joint_loss(
     j_cs: Union[float, Tensor],
     lambda1: float = 1.0,
     lambda2: float = 1.0,
-) -> Union[float, Tensor]:
-    """J = lambda1 * J_cg + lambda2 * J_cs."""
+) -> Tensor:
+    """J = lambda1 * J_cg + lambda2 * J_cs; a term whose weight is 0 may be 0.0."""
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("loss weights must be non-negative")
-    if isinstance(j_cg, Tensor) or isinstance(j_cs, Tensor):
-        return ag.as_tensor(j_cg) * lambda1 + ag.as_tensor(j_cs) * lambda2
-    return lambda1 * float(j_cg) + lambda2 * float(j_cs)
+    return ag.as_tensor(j_cg) * lambda1 + ag.as_tensor(j_cs) * lambda2
 
 
 # -- triplet sampling -----------------------------------------------------------

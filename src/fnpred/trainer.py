@@ -27,7 +27,7 @@ from .encoder import (
 from .ingest import FunctionRecord
 from .metrics import evaluate_pairs
 from .params import ParamStore, ParamTape, save_checkpoint
-from .pretrain import cdi_pairs, dui_pairs, infill_stream, text_infilling
+from .pretrain import PRETRAIN_TASKS, task_samples
 from .tasks import (
     NameVocabulary,
     init_task_params,
@@ -40,7 +40,6 @@ from .tasks import (
     similarity_h_tensor,
 )
 
-PRETRAIN_TASKS = ("infill", "cdi", "dui")
 _VALID_STREAM = 999_983  # rng stream tag for validation batches
 
 
@@ -297,15 +296,13 @@ def gradcheck_paths(seed: int = 0) -> tuple[ParamStore, dict[str, Callable[[Para
     name_vocab = NameVocabulary.build(
         [["load", "config"], ["store", "value"], ["free", "buffer"]]
     )
-    store = ParamStore(seed=seed)
-    init_encoder_params(store, config, len(vocab))
-    init_task_params(store, config, len(name_vocab))
+    store = build_stores(config, len(vocab), len(name_vocab), seed)
 
-    infill_sample = text_infilling(infill_stream(records[0]), 0.3, 11)
+    infill_sample = task_samples(records[0], "infill", 11, mask_ratio=0.3)[0]
     if not any(span for _, span in infill_sample.targets):
         raise RuntimeError("gradcheck fixture produced an empty infilling sample")
-    cdi_batch = cdi_pairs(records[0], w=2, negatives_per_positive=1, rng_seed=3)[:4]
-    dui_batch = dui_pairs(records[0], negatives_per_positive=1, rng_seed=4)[:4]
+    cdi_batch = task_samples(records[0], "cdi", 3, w=2, negatives_per_positive=1)[:4]
+    dui_batch = task_samples(records[0], "dui", 4, negatives_per_positive=1)[:4]
     gold = name_vocab.encode(["load", "config"])
 
     def encode(tape: ParamTape, idx: int) -> Tensor:
@@ -362,6 +359,10 @@ class PretrainResult:
     trained_record_ids: set[str] = field(default_factory=set)
 
 
+def _task_samples(rec: FunctionRecord, task: str, seed: int, cfg: TrainConfig) -> list:
+    return task_samples(rec, task, seed, cfg.mask_ratio, cfg.cdi_window, cfg.negatives_per_positive)
+
+
 def _draw_pretrain_batch(
     task: str,
     records: Sequence[FunctionRecord],
@@ -374,28 +375,10 @@ def _draw_pretrain_batch(
     while len(samples) < cfg.batch_size and attempts < cfg.batch_size * 20:
         attempts += 1
         rec = records[int(rng.integers(len(records)))]
-        if task == "infill":
-            flat = infill_stream(rec)
-            if len(flat) < 2:
-                continue
-            samples.append(text_infilling(flat, cfg.mask_ratio, int(rng.integers(1 << 31))))
-        elif task == "cdi":
-            pairs = cdi_pairs(
-                rec, w=cfg.cdi_window,
-                negatives_per_positive=cfg.negatives_per_positive,
-                rng_seed=int(rng.integers(1 << 31)),
-            )
-            if not pairs:
-                continue
-            samples.append(pairs[int(rng.integers(len(pairs)))])
-        else:
-            pairs = dui_pairs(
-                rec, negatives_per_positive=cfg.negatives_per_positive,
-                rng_seed=int(rng.integers(1 << 31)),
-            )
-            if not pairs:
-                continue
-            samples.append(pairs[int(rng.integers(len(pairs)))])
+        pool = _task_samples(rec, task, int(rng.integers(1 << 31)), cfg)
+        if not pool:
+            continue
+        samples.append(pool[int(rng.integers(len(pool)))])
         used.add(rec.id)
     if not samples:
         raise ValueError(f"no samples available for pretraining task {task!r}")
@@ -403,12 +386,9 @@ def _draw_pretrain_batch(
 
 
 def _check_task_streams(records: Sequence[FunctionRecord], cfg: TrainConfig) -> None:
-    if not any(len(infill_stream(r)) >= 2 for r in records):
-        raise ValueError("no samples available for pretraining task 'infill'")
-    if not any(cdi_pairs(r, w=cfg.cdi_window, rng_seed=0) for r in records):
-        raise ValueError("no samples available for pretraining task 'cdi'")
-    if not any(dui_pairs(r, rng_seed=0) for r in records):
-        raise ValueError("no samples available for pretraining task 'dui'")
+    for task in PRETRAIN_TASKS:
+        if not any(_task_samples(r, task, 0, cfg) for r in records):
+            raise ValueError(f"no samples available for pretraining task {task!r}")
 
 
 def pretrain_alm(
@@ -692,9 +672,20 @@ def build_stores(
     token_vocab_size: int,
     name_vocab_size: int,
     seed: int,
+    encoder_from: Optional[ParamStore] = None,
 ) -> ParamStore:
-    """Fresh store with encoder and task parameters initialized in order."""
+    """Fresh store with encoder and task parameters initialized in order; ``encoder_from``
+    supplies the encoder group (the arrays ``init_encoder_params`` declares)."""
     store = ParamStore(seed=seed)
     init_encoder_params(store, enc_config, token_vocab_size)
+    if encoder_from is not None:
+        for name, value in store.values.items():
+            source = encoder_from.values.get(name)
+            if source is None or source.shape != value.shape:
+                found = "missing" if source is None else f"shaped {source.shape}"
+                raise ValueError(
+                    f"checkpoint encoder array {name!r} is {found}; the encoder config needs {value.shape}"
+                )
+            value[...] = source
     init_task_params(store, enc_config, name_vocab_size)
     return store

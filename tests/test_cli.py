@@ -8,11 +8,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fnpred
 from conftest import defuse_chain_record, make_dataset, write_jsonl
 from fnpred.cli import run
+from fnpred.encoder import EncoderConfig, TokenVocab, init_encoder_params
+from fnpred.params import ParamStore, load_checkpoint
+from fnpred.tasks import NameVocabulary
 
 ALL_COMMANDS = [
     "ingest", "tokenize", "relate", "pretrain-data", "train",
@@ -263,6 +267,59 @@ class TestTrainCommand:
                       "--config", str(cfg)])
         assert result.exit_code == 1
         assert "unknown key" in result.summary
+
+    def test_warm_start_from_own_pretraining_matches_one_run(self, tmp_path, corpus_jsonl):
+        # Pretraining never moves the task group, so a warm start from the
+        # pretrain checkpoint holds the same state as the run that wrote it.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch_size=2\nmax_steps=10\nlr=0.001\n")
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        base = ["train", "--input", corpus_jsonl, "--config", str(cfg), "--seed", "7"]
+        assert run([*base, "--out-dir", first]).exit_code == 0
+        result = run([*base, "--out-dir", second,
+                      "--alm-checkpoint", os.path.join(first, "pretrain", "final")])
+        assert result.exit_code == 0, result.summary
+        assert not os.path.exists(os.path.join(second, "pretrain"))
+        for fname in ("params.bin", "manifest.txt"):
+            a = read_bytes(os.path.join(first, "multitask", "final", fname))
+            b = read_bytes(os.path.join(second, "multitask", "final", fname))
+            assert a == b, fname
+
+    def test_warm_start_on_a_corpus_with_more_names(self, tmp_path, corpus_jsonl, small_train_cfg):
+        first = str(tmp_path / "first")
+        assert run(["train", "--input", corpus_jsonl, "--out-dir", first, "--config", small_train_cfg,
+                    "--pretrain-steps", "2", "--max-steps", "0"]).exit_code == 0
+        checkpoint = os.path.join(first, "pretrain", "final")
+        larger = write_jsonl(make_dataset(n_sources=14), tmp_path / "larger.jsonl")
+        second = str(tmp_path / "second")
+        result = run(["train", "--input", larger, "--out-dir", second, "--config", small_train_cfg,
+                      "--alm-checkpoint", checkpoint, "--max-steps", "0"])
+        assert result.exit_code == 0, result.summary
+        model = os.path.join(second, "multitask", "final")
+        old_names = NameVocabulary.load(os.path.join(checkpoint, "name_vocab.tsv"))
+        new_names = NameVocabulary.load(os.path.join(model, "name_vocab.tsv"))
+        assert len(new_names) > len(old_names)
+        saved, final = load_checkpoint(checkpoint), load_checkpoint(model)
+        token_vocab = TokenVocab.load(os.path.join(checkpoint, "token_vocab.txt"))
+        encoder_group = ParamStore()
+        init_encoder_params(encoder_group, EncoderConfig.toy(), len(token_vocab))
+        for name in encoder_group.values:
+            assert np.array_equal(final.values[name], saved.values[name]), name
+        assert final.values["name_emb"].shape[0] == len(new_names)
+        assert final.values["out_proj.w"].shape[1] == len(new_names)
+        assert final.values["out_proj.b"].shape == (len(new_names),)
+
+    def test_warm_start_rejects_a_mismatched_encoder(self, tmp_path, corpus_jsonl, small_train_cfg):
+        first = str(tmp_path / "first")
+        assert run(["train", "--input", corpus_jsonl, "--out-dir", first, "--config", small_train_cfg,
+                    "--pretrain-steps", "1", "--max-steps", "0"]).exit_code == 0
+        cfg = tmp_path / "default_size.cfg"
+        cfg.write_text("toy=false\nbatch_size=1\n")
+        result = run(["train", "--input", corpus_jsonl, "--out-dir", str(tmp_path / "second"),
+                      "--config", str(cfg), "--max-steps", "0",
+                      "--alm-checkpoint", os.path.join(first, "pretrain", "final")])
+        assert result.exit_code == 1
+        assert "'tok_emb'" in result.summary
 
     def test_input_never_mutated(self, tmp_path, small_train_cfg):
         inp = write_jsonl(cli_records(), tmp_path / "data.jsonl")

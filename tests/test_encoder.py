@@ -24,7 +24,7 @@ from fnpred.encoder import (
     transformer_encode,
     _conv_node_vector_tensor,
 )
-from fnpred.ingest import build_fine_grained_cfg, khop_neighborhood
+from fnpred.ingest import build_fine_grained_cfg, khop_neighborhood, record_tokens
 from fnpred.params import ParamStore, ParamTape
 from fnpred.pretrain import MASK_TOKEN, InfillingSample, InstructionPairSample
 
@@ -439,7 +439,6 @@ class TestEncodeFunction:
         a = encode_function(rec, store, TOY, vocab)
         b = encode_function(renamed, store, TOY, vocab)
         assert np.array_equal(a.emb.data, b.emb.data)
-        assert np.array_equal(a.node_states.data, b.node_states.data)
 
     def test_encoding_shapes_and_composition(self):
         records = make_dataset(n_sources=4)
@@ -447,28 +446,28 @@ class TestEncodeFunction:
         store = toy_store(len(vocab), seed=7)
         rec = records[1]
         enc = encode_function(rec, store, TOY, vocab)
-        token_count = enc.emb.shape[0] - 1
-        assert enc.node_states.shape == (len(rec.instructions), TOY.d_hidden)
-        assert enc.h_G.shape == (TOY.d_hidden,)
-        assert enc.h_inst.shape == (TOY.d_hidden,)
-        assert np.array_equal(enc.emb.data[0], enc.h_G.data)
-        states, pooled = transformer_encode(
+        states, _ = transformer_encode(
             [int(i) for i in _flat_ids(rec, vocab)], store, TOY
         )
-        assert token_count == states.shape[0]
+        assert enc.emb.shape == (1 + states.shape[0], TOY.d_hidden)
         assert np.allclose(enc.emb.data[1:], states, atol=1e-12)
-        assert np.allclose(enc.h_inst.data, pooled, atol=1e-12)
 
     def test_readout_projection_feeds_h_g(self):
         records = make_dataset(n_sources=3)
         vocab = TokenVocab.from_records(records)
         store = toy_store(len(vocab), seed=8)
-        enc = encode_function(records[0], store, TOY, vocab)
-        want = (
-            enc.node_states.data.mean(axis=0) @ store.values["g_proj.w"]
-            + store.values["g_proj.b"]
-        )
-        assert np.allclose(enc.h_G.data, want, atol=1e-12)
+        rec = records[0]
+        enc = encode_function(rec, store, TOY, vocab)
+        # emb[0] from the oracles: conv node vectors, K-hop passing, mean, g_proj
+        kernels = conv_kernels_from_store(store, TOY)
+        tok_emb = store.values["tok_emb"]
+        x = np.stack([
+            conv_node_vector(tok_emb[np.asarray(vocab.encode(toks))].T, kernels, pad_vector=tok_emb[PAD_ID])
+            for toks in record_tokens(rec)
+        ])
+        nodes = khop_message_pass(build_fine_grained_cfg(rec), x, store, TOY.gnn_layers, TOY.gnn_hops)
+        want = nodes.mean(axis=0) @ store.values["g_proj.w"] + store.values["g_proj.b"]
+        assert np.allclose(enc.emb.data[0], want, atol=1e-12, rtol=0.0)
 
     def test_fifty_functions_encode_finite(self):
         records = make_dataset(n_sources=25)

@@ -16,7 +16,6 @@ from fnpred.ingest import (
     Instruction,
     build_fine_grained_cfg,
     compute_defuse_pairs,
-    extract_control_flow_sequences,
     instruction_tokens,
     khop_neighborhood,
     normalize_instruction,
@@ -213,26 +212,6 @@ class TestFineGrainedCFG:
 
 
 class TestSequencesAndDefUse:
-    def test_single_block_sequence(self):
-        rec = straight_line([("mov", ["eax"])] * 5)
-        assert extract_control_flow_sequences(rec) == [[0, 1, 2, 3, 4]]
-
-    def test_two_block_sequences(self):
-        instructions = [
-            ins(0, "mov", ["eax"], 0), ins(1, "add", ["eax"], 0),
-            ins(2, "sub", ["ebx"], 1), ins(3, "ret", [], 1),
-        ]
-        rec = FunctionRecord(
-            id="f", name="fn", source_id="s", arch="x86", opt="O0",
-            instructions=instructions, edges=[],
-        )
-        assert extract_control_flow_sequences(rec) == [[0, 1], [2, 3]]
-
-    def test_empty_function_rejected(self):
-        rec = straight_line([])
-        with pytest.raises(ValueError):
-            extract_control_flow_sequences(rec)
-
     def test_simple_def_use(self):
         rec = straight_line([("mov", ["eax", "0x100"]), ("add", ["ebx", "eax"])])
         assert compute_defuse_pairs(rec) == [(0, 1)]

@@ -54,10 +54,6 @@ class TestParamStore:
         store = small_store()
         assert list(store.names()) == ["w", "b", "emb", "gain"]
 
-    def test_total_size(self):
-        store = small_store()
-        assert store.total_size() == 4 * 3 + 3 + 5 * 4 + 3
-
 
 class TestParamTape:
     def test_get_caches_single_tensor(self):

@@ -396,55 +396,63 @@ class TestScore:
         assert np.abs(store.grads["sim.w2"]).max() > 0.0
 
 
+def hinge(f_pos: float, f_neg: float, *args, **kwargs) -> float:
+    return ranking_loss(Tensor(np.array(f_pos)), Tensor(np.array(f_neg)), *args, **kwargs).item()
+
+
+def joint(j_cg: float, j_cs: float, *args) -> float:
+    return joint_loss(Tensor(np.array(j_cg)), Tensor(np.array(j_cs)), *args).item()
+
+
 class TestRankingLoss:
     def test_hand_values(self):
-        assert ranking_loss(0.9, 0.2, 0.5) == pytest.approx(0.0)
-        assert ranking_loss(0.3, 0.2, 0.5) == pytest.approx(0.4)
+        assert hinge(0.9, 0.2, 0.5) == pytest.approx(0.0)
+        assert hinge(0.3, 0.2, 0.5) == pytest.approx(0.4)
 
     def test_equal_scores_cost_the_margin(self):
-        assert ranking_loss(0.4, 0.4, 0.5) == pytest.approx(0.5)
+        assert hinge(0.4, 0.4, 0.5) == pytest.approx(0.5)
 
     def test_zero_iff_pos_exceeds_neg_by_margin(self):
         # binary-exact operands keep the hinge boundary sharp
-        assert ranking_loss(0.875, 0.25, 0.5) == 0.0
-        assert ranking_loss(0.75, 0.25, 0.5) == 0.0
-        assert ranking_loss(0.625, 0.25, 0.5) > 0.0
+        assert hinge(0.875, 0.25, 0.5) == 0.0
+        assert hinge(0.75, 0.25, 0.5) == 0.0
+        assert hinge(0.625, 0.25, 0.5) > 0.0
 
     def test_monotonicity(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             f_pos, f_neg = rng.uniform(-1, 1, size=2)
             bump = float(rng.uniform(0, 0.5))
-            base = ranking_loss(f_pos, f_neg, 0.5)
-            assert ranking_loss(f_pos + bump, f_neg, 0.5) <= base
-            assert ranking_loss(f_pos, f_neg + bump, 0.5) >= base
+            base = hinge(f_pos, f_neg, 0.5)
+            assert hinge(f_pos + bump, f_neg, 0.5) <= base
+            assert hinge(f_pos, f_neg + bump, 0.5) >= base
             assert base >= 0.0
 
     def test_inverted_variant_flips_the_hinge(self):
-        assert ranking_loss(0.9, 0.2, 0.5, variant="inverted") == pytest.approx(0.2)
-        assert ranking_loss(0.3, 0.2, 0.5, variant="inverted") == pytest.approx(0.0)
+        assert hinge(0.9, 0.2, 0.5, variant="inverted") == pytest.approx(0.2)
+        assert hinge(0.3, 0.2, 0.5, variant="inverted") == pytest.approx(0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="margin"):
-            ranking_loss(0.5, 0.1, 0.0)
+            hinge(0.5, 0.1, 0.0)
         with pytest.raises(ValueError, match="variant"):
-            ranking_loss(0.5, 0.1, 0.5, variant="relu")
+            hinge(0.5, 0.1, 0.5, variant="relu")
 
 
 class TestJointLoss:
     def test_weighted_sum(self):
-        assert joint_loss(2.0, 0.5, 1.0, 1.0) == pytest.approx(2.5)
+        assert joint(2.0, 0.5, 1.0, 1.0) == pytest.approx(2.5)
 
     def test_lambda2_zero_is_generation_only(self):
-        assert joint_loss(2.0, 123.0, 0.7, 0.0) == pytest.approx(1.4)
+        assert joint(2.0, 123.0, 0.7, 0.0) == pytest.approx(1.4)
 
     def test_scaling_both_weights_scales_the_loss(self):
-        base = joint_loss(1.5, 0.25, 0.8, 1.2)
-        assert joint_loss(1.5, 0.25, 2.4, 3.6) == pytest.approx(3.0 * base)
+        base = joint(1.5, 0.25, 0.8, 1.2)
+        assert joint(1.5, 0.25, 2.4, 3.6) == pytest.approx(3.0 * base)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            joint_loss(1.0, 1.0, -0.1, 1.0)
+            joint(1.0, 1.0, -0.1, 1.0)
 
     def test_gradient_is_weighted_sum_of_task_gradients(self):
         vocab = vocab10()
