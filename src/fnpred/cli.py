@@ -217,6 +217,8 @@ def _write_model_extras(directory, token_vocab, name_vocab, enc_config, train_cf
 
 
 def _cmd_train(ns) -> tuple[str, list[str]]:
+    if ns.ablate == "no-pretrain" and ns.alm_checkpoint:
+        raise ValueError("--ablate no-pretrain cannot be combined with --alm-checkpoint (a pretrained encoder)")
     cfg = load_train_config(ns.config) if ns.config else TrainConfig()
     if ns.seed is not None:
         cfg = replace(cfg, seed=ns.seed)

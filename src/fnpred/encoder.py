@@ -104,7 +104,7 @@ class EncoderConfig:
         if self.d_hidden % self.n_heads != 0:
             raise ValueError("d_hidden must be divisible by n_heads")
         if any(w < 1 for w in self.conv_kernel_widths):
-            raise ValueError("conv kernel widths must be >= 1")
+            raise ValueError("conv_kernel_widths must be >= 1")
         if self.gnn_layers < 1 or self.gnn_hops < 1:
             raise ValueError("gnn_layers and gnn_hops must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

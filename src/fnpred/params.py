@@ -1,4 +1,4 @@
-"""Named parameter arrays, their gradients, and checkpoint persistence.
+"""Named parameter arrays, per-step gradient tapes, and checkpoint persistence.
 
 A checkpoint is a directory holding ``manifest.txt`` (one line per array:
 name, comma-joined shape, dtype, byte offset) and ``params.bin`` (the
@@ -10,7 +10,6 @@ can resume with an identical trajectory.
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,11 +20,10 @@ PAYLOAD_NAME = "params.bin"
 
 
 class ParamStore:
-    """All trainable state: values, gradient buffers, optimizer moments."""
+    """All trainable state: values, optimizer moments and the step counter."""
 
     def __init__(self, seed: int = 0):
         self.values: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self.opt_state: dict[str, np.ndarray] = {}
         self.step_count: int = 0
         self.rng_seed = seed
@@ -38,18 +36,15 @@ class ParamStore:
         if not np.all(np.isfinite(array)):
             raise ValueError(f"parameter {name!r} contains non-finite values")
         self.values[name] = array
-        self.grads[name] = np.zeros_like(array)
         return array
 
-    def affine(self, name: str, shape: tuple[int, ...], fan_in: Optional[int] = None) -> np.ndarray:
-        """Weight matrix initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-        if fan_in is None:
-            fan_in = shape[0]
-        bound = 1.0 / np.sqrt(fan_in)
+    def affine(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Weight matrix initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), fan_in = shape[0]."""
+        bound = 1.0 / np.sqrt(shape[0])
         return self.add(name, self._rng.uniform(-bound, bound, size=shape))
 
-    def embedding(self, name: str, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
-        return self.add(name, self._rng.normal(0.0, std, size=shape))
+    def embedding(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        return self.add(name, self._rng.normal(0.0, 0.02, size=shape))
 
     def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.zeros(shape))
@@ -57,27 +52,14 @@ class ParamStore:
     def ones(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.ones(shape))
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g.fill(0.0)
-
-    def names(self) -> Iterator[str]:
-        return iter(self.values)
-
-    def grad_norm(self) -> float:
-        total = 0.0
-        for g in self.grads.values():
-            total += float(np.sum(g * g))
-        return float(np.sqrt(total))
-
 
 class ParamTape:
     """Bridges a ParamStore into one autograd forward/backward pass.
 
     Each parameter is wrapped in a Tensor at most once per tape, so gradient
-    contributions from repeated uses accumulate on the same node.  After
-    ``backward()`` on the loss, call :meth:`flush_grads` to add the tape's
-    gradients into the store's buffers.
+    contributions from repeated uses accumulate on the same node.  The tape
+    is the only holder of a step's gradients: after ``backward()`` on the
+    loss, :meth:`grads` hands them to the optimizer.
     """
 
     def __init__(self, store: ParamStore, trainable: bool = True):
@@ -92,14 +74,13 @@ class ParamTape:
             self._tensors[name] = tensor
         return tensor
 
-    def flush_grads(self) -> None:
-        for name, tensor in self._tensors.items():
-            if tensor.grad is not None:
-                self.store.grads[name] += tensor.grad
+    def grads(self) -> dict[str, np.ndarray]:
+        """``{name: gradient}`` for each parameter that backward reached; a missing name means zero."""
+        return {name: t.grad for name, t in self._tensors.items() if t.grad is not None}
 
 
-def save_checkpoint(store: ParamStore, directory: str, extra_files: Optional[dict[str, str]] = None) -> list[str]:
-    """Write manifest + payload (+ any extra text files); returns paths written."""
+def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
+    """Write manifest + payload; returns the paths written."""
     os.makedirs(directory, exist_ok=True)
     lines = []
     payload = bytearray()
@@ -122,13 +103,7 @@ def save_checkpoint(store: ParamStore, directory: str, extra_files: Optional[dic
         fh.write("\n".join(lines) + "\n")
     with open(payload_path, "wb") as fh:
         fh.write(bytes(payload))
-    written = [manifest_path, payload_path]
-    for filename, content in (extra_files or {}).items():
-        path = os.path.join(directory, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        written.append(path)
-    return written
+    return [manifest_path, payload_path]
 
 
 def load_checkpoint(directory: str) -> ParamStore:

@@ -67,14 +67,15 @@ class TrainConfig:
     negatives_per_positive: int = 1
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        for name in ("lr", "eps"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        for name in ("batch_size", "patience", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.jcs_variant not in ("margin", "inverted"):
             raise ValueError("jcs_variant must be 'margin' or 'inverted'")
 
@@ -111,6 +112,7 @@ def _read_config(cls, path: str):
     """Build dataclass ``cls`` from a ``key=value`` file, typed by its fields."""
     fields = {f.name: str(f.type) for f in dataclasses.fields(cls)}
     kwargs = {}
+    line_of: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -125,7 +127,12 @@ def _read_config(cls, path: str):
                 kwargs[key] = _FIELD_PARSERS[fields[key]](value)
             except ValueError as exc:
                 raise ValueError(f"config line {line_no}: bad value for {key!r}: {exc}") from None
-    return cls(**kwargs)
+            line_of[key] = line_no
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a ``__post_init__`` message starts with the field it rejects
+        line = line_of.get(str(exc).split(" ", 1)[0])
+        raise ValueError(f"config line {line}: {exc}" if line else str(exc)) from None
 
 
 def save_train_config(cfg: TrainConfig, path: str) -> None:
@@ -146,32 +153,30 @@ def load_encoder_config(path: str) -> EncoderConfig:
 
 # -- optimizer -----------------------------------------------------------------
 
-def adam_step(store: ParamStore, cfg: TrainConfig, step: Optional[int] = None) -> ParamStore:
-    """One bias-corrected Adam update from the store's gradient buffers.
+def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update at step ``store.step_count + 1``.
 
-    Gradients are zeroed afterwards; first/second moments persist in
-    ``store.opt_state`` under ``<name>.m`` / ``<name>.v``.  Every gradient
-    is checked before any update, so a non-finite one leaves the store as
-    it was.
+    ``grads`` maps names to gradients (``ParamTape.grads()``); a missing name
+    is a zero gradient.  First/second moments persist in ``store.opt_state``
+    under ``<name>.m`` / ``<name>.v``.  Every gradient is checked before any
+    update, so a non-finite one leaves the store as it was.
     """
-    t = store.step_count + 1 if step is None else int(step)
-    for name in store.values:
-        if not np.all(np.isfinite(store.grads[name])):
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
-    for name in store.values:
-        g = store.grads[name]
-        m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(g))
-        v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(g))
+    t = store.step_count + 1
+    for name, value in store.values.items():
+        g = grads.get(name, 0.0)
+        m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(value))
+        v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(value))
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v += (1.0 - cfg.beta2) * g * g
         m_hat = m / (1.0 - cfg.beta1**t)
         v_hat = v / (1.0 - cfg.beta2**t)
-        store.values[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
     store.step_count = t
-    store.zero_grads()
-    return store
 
 
 # -- gradient checking -----------------------------------------------------------
@@ -182,17 +187,16 @@ def grad_check(
     eps: float = 1e-5,
     max_coords: int = 500,
     seed: int = 0,
-    grad_fn: Optional[Callable[[ParamStore], None]] = None,
+    grad_fn: Optional[Callable[[ParamStore], dict[str, np.ndarray]]] = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` maps a ParamTape to a scalar Tensor and is re-evaluated for
     each probe; up to ``max_coords`` coordinates are sampled uniformly over
-    all parameters.  ``grad_fn``, when given, supplies the analytic
-    gradients instead of backpropagation (used to prove the harness catches
-    wrong gradients).
+    all parameters.  ``grad_fn``, when given, returns the analytic gradients
+    (``{name: grad}``, a missing name meaning zero) instead of backpropagation
+    (used to prove the harness catches wrong gradients).
     """
-    store.zero_grads()
     if grad_fn is None:
         tape = ParamTape(store, trainable=True)
         loss = loss_fn(tape)
@@ -201,9 +205,9 @@ def grad_check(
         if not np.all(np.isfinite(loss.data)):
             raise ValueError("non-finite loss")
         loss.backward()
-        tape.flush_grads()
+        grads = tape.grads()
     else:
-        grad_fn(store)
+        grads = grad_fn(store)
 
     def evaluate() -> float:
         value = loss_fn(ParamTape(store, trainable=False)).item()
@@ -231,7 +235,7 @@ def grad_check(
         down = evaluate()
         view[inner] = orig
         numeric = (up - down) / (2.0 * eps)
-        analytic = store.grads[name].ravel()[inner]
+        analytic = grads[name].ravel()[inner] if name in grads else 0.0
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         worst = max(worst, rel)
     return worst
@@ -442,8 +446,7 @@ def pretrain_alm(
         tape = ParamTape(store, trainable=True)
         loss = alm_losses(batch, tape, enc_config, vocab, training=True, rng=rng)
         loss.backward()
-        tape.flush_grads()
-        adam_step(store, cfg)
+        adam_step(store, tape.grads(), cfg)
         step = store.step_count
         result.task_losses[task].append((step, loss.item()))
         if valid_batches and step % cfg.eval_every == 0:
@@ -605,8 +608,7 @@ def train_multitask(
         jcs_term = jcs_sum * scale if jcs_sum is not None else 0.0
         loss = joint_loss(jcg_term, jcs_term, cfg.lambda1, cfg.lambda2)
         loss.backward()
-        tape.flush_grads()
-        adam_step(store, cfg)
+        adam_step(store, tape.grads(), cfg)
         step = store.step_count
         result.history.append(
             {
@@ -661,8 +663,7 @@ def overfit_name_decoder(
             total = jcg if total is None else total + jcg
         loss = total * (1.0 / len(records))
         loss.backward()
-        tape.flush_grads()
-        adam_step(store, cfg)
+        adam_step(store, tape.grads(), cfg)
         losses.append(loss.item())
     return losses
 

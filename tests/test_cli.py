@@ -247,6 +247,16 @@ class TestTrainCommand:
         assert result.exit_code == 0, result.summary
         assert not os.path.exists(os.path.join(out_dir, "pretrain"))
 
+    def test_no_pretrain_ablation_rejects_a_pretrained_checkpoint(self, tmp_path, corpus_jsonl,
+                                                                  small_train_cfg, trained_model):
+        out_dir = str(tmp_path / "run")
+        result = run(["train", "--input", corpus_jsonl, "--out-dir", out_dir,
+                      "--config", small_train_cfg, "--ablate", "no-pretrain", "--alm-checkpoint",
+                      os.path.join(trained_model["out_dir"], "pretrain", "final")])
+        assert result.exit_code == 1
+        assert "--ablate no-pretrain" in result.summary and "--alm-checkpoint" in result.summary
+        assert not os.path.exists(os.path.join(out_dir, "multitask"))
+
     @pytest.mark.parametrize("extra", [["--jcs-inverted"], ["--ablate", "no-similarity"]])
     def test_variant_flags_accepted(self, tmp_path, corpus_jsonl, small_train_cfg, extra):
         result = run(["train", "--input", corpus_jsonl, "--out-dir", str(tmp_path / "run"),

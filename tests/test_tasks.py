@@ -391,9 +391,9 @@ class TestScore:
         want = float(np.dot(p1, p2) / (np.linalg.norm(p1) * np.linalg.norm(p2)))
         assert out.data == pytest.approx(want, abs=1e-12)
         out.backward()
-        tape.flush_grads()
-        assert np.abs(store.grads["sim.w1"]).max() > 0.0
-        assert np.abs(store.grads["sim.w2"]).max() > 0.0
+        grads = tape.grads()
+        assert np.abs(grads["sim.w1"]).max() > 0.0
+        assert np.abs(grads["sim.w2"]).max() > 0.0
 
 
 def hinge(f_pos: float, f_neg: float, *args, **kwargs) -> float:
@@ -463,11 +463,9 @@ class TestJointLoss:
         lam1, lam2 = 0.7, 1.3
 
         def run(build):
-            store.zero_grads()
             tape = ParamTape(store, trainable=True)
             build(tape).backward()
-            tape.flush_grads()
-            return {k: g.copy() for k, g in store.grads.items()}
+            return tape.grads()
 
         def j_cg(tape):
             return name_loss(emb, [5, 8], tape, TOY)
@@ -482,9 +480,9 @@ class TestJointLoss:
         g_joint = run(lambda tape: joint_loss(j_cg(tape), j_cs(tape), lam1, lam2))
         g_cg = run(j_cg)
         g_cs = run(j_cs)
-        for nm in store.names():
-            want = lam1 * g_cg[nm] + lam2 * g_cs[nm]
-            assert np.allclose(g_joint[nm], want, atol=1e-10), nm
+        for nm in store.values:  # a name missing from a task's gradients counts as 0
+            want = lam1 * g_cg.get(nm, 0.0) + lam2 * g_cs.get(nm, 0.0)
+            assert np.allclose(g_joint.get(nm, 0.0), want, atol=1e-10), nm
 
 
 # -- triplet sampling ---------------------------------------------------------------

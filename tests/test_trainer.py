@@ -12,7 +12,7 @@ from conftest import defuse_chain_record, make_dataset, make_record
 from fnpred.autograd import sum_
 from fnpred.encoder import EncoderConfig, TokenVocab
 from fnpred.ingest import instruction_tokens, normalize_record
-from fnpred.params import ParamStore, load_checkpoint
+from fnpred.params import ParamStore, ParamTape, load_checkpoint
 from fnpred.pretrain import cdi_pairs, dui_pairs, text_infilling
 from fnpred.tasks import NameVocabulary
 from fnpred.trainer import (
@@ -117,6 +117,21 @@ class TestTrainConfigIO:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("beta1", 1.0, r"beta1 must be in \[0, 1\)"), ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
+         ("beta2", 1.0, r"beta2 must be in \[0, 1\)"), ("eps", 0.0, "eps must be positive"),
+         ("eps", -1e-8, "eps must be positive"), ("eps", float("nan"), "eps must be positive"),
+         ("lr", float("nan"), "lr must be positive")],
+    )
+    def test_adam_settings_that_corrupt_a_run_rejected(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"seed=2\n# Adam\n{field}={value}\nmax_steps=3\n")
+        with pytest.raises(ValueError, match="config line 3: " + message):
+            load_train_config(str(path))
+
     def test_eval_every_below_one_rejected_from_file(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("seed=2\neval_every=0\n")
@@ -145,7 +160,8 @@ class TestEncoderConfigIO:
         "line,message",
         [("heads=4", r"config line 3: unknown key 'heads'"),
          ("n_layers 4", r"config line 3: expected key=value"),
-         ("n_layers=four", r"config line 3: bad value for 'n_layers'")],
+         ("n_layers=four", r"config line 3: bad value for 'n_layers'"),
+         ("conv_kernel_widths=0,2", r"config line 3: conv_kernel_widths must be >= 1")],
     )
     def test_bad_line_named(self, tmp_path, line, message):
         path = tmp_path / "enc.cfg"
@@ -193,44 +209,43 @@ class TestAdamStep:
         store.affine("w", (3, 4))
         store.zeros("b", (4,))
         before = snapshot(store)
-        adam_step(store, TrainConfig())
+        adam_step(store, {}, TrainConfig())
         assert snapshot(store) == before
+        assert all(not moment.any() for moment in store.opt_state.values())
         assert store.step_count == 1
 
     def test_single_step_matches_hand_adam(self):
         cfg = TrainConfig(lr=0.1)
         store = ParamStore(seed=0)
         store.zeros("x", (2,))
-        store.grads["x"][:] = [1.0, -3.0]
-        adam_step(store, cfg)
+        grad = np.array([1.0, -3.0])
+        adam_step(store, {"x": grad}, cfg)
         for i, g in enumerate([1.0, -3.0]):
             delta, m, v = hand_adam_update(g, t=1, cfg=cfg)
             assert store.values["x"][i] == pytest.approx(-delta, rel=0, abs=1e-15)
             assert store.opt_state["x.m"][i] == pytest.approx(m, abs=1e-18)
             assert store.opt_state["x.v"][i] == pytest.approx(v, abs=1e-18)
-        assert np.all(store.grads["x"] == 0.0)
+        assert grad.tolist() == [1.0, -3.0]  # the caller's gradient is read, not consumed
 
     def test_second_step_accumulates_moments(self):
         cfg = TrainConfig(lr=0.1)
         store = ParamStore(seed=0)
         store.zeros("x", (1,))
-        store.grads["x"][:] = 1.0
-        adam_step(store, cfg)
+        adam_step(store, {"x": np.ones(1)}, cfg)
         first = float(store.values["x"][0])
-        store.grads["x"][:] = 1.0
-        adam_step(store, cfg)
+        adam_step(store, {"x": np.ones(1)}, cfg)
         delta1, m1, v1 = hand_adam_update(1.0, t=1, cfg=cfg)
         delta2, _, _ = hand_adam_update(1.0, t=2, cfg=cfg, m0=m1, v0=v1)
         assert first == pytest.approx(-delta1, abs=1e-15)
         assert store.values["x"][0] == pytest.approx(-(delta1 + delta2), abs=1e-14)
         assert store.step_count == 2
 
-    def test_explicit_step_overrides_bias_correction(self):
+    def test_resumed_step_count_sets_bias_correction(self):
         cfg = TrainConfig(lr=0.1)
         store = ParamStore(seed=0)
         store.zeros("x", (1,))
-        store.grads["x"][:] = 0.5
-        adam_step(store, cfg, step=5)
+        store.step_count = 4  # as loaded from a checkpoint taken after step 4
+        adam_step(store, {"x": np.full(1, 0.5)}, cfg)
         delta, _, _ = hand_adam_update(0.5, t=5, cfg=cfg)
         assert store.values["x"][0] == pytest.approx(-delta, abs=1e-15)
         assert store.step_count == 5
@@ -238,22 +253,20 @@ class TestAdamStep:
     def test_non_finite_gradient_rejected(self):
         store = ParamStore(seed=0)
         store.zeros("x", (2,))
-        store.grads["x"][0] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient for parameter"):
-            adam_step(store, TrainConfig())
+            adam_step(store, {"x": np.array([np.nan, 0.0])}, TrainConfig())
 
     def test_non_finite_gradient_leaves_state_unchanged(self):
         store = ParamStore(seed=0)
         store.affine("a", (3, 2))
         store.affine("b", (2, 2))
-        store.grads["a"][:] = 1.0
-        adam_step(store, TrainConfig())
-        store.grads["a"][:] = 0.5
-        store.grads["b"][1, 1] = np.nan
+        adam_step(store, {"a": np.ones((3, 2))}, TrainConfig())
+        bad = np.zeros((2, 2))
+        bad[1, 1] = np.nan
         values = {k: v.copy() for k, v in store.values.items()}
         moments = {k: v.copy() for k, v in store.opt_state.items()}
         with pytest.raises(ValueError, match="'b'"):
-            adam_step(store, TrainConfig())
+            adam_step(store, {"a": np.full((3, 2), 0.5), "b": bad}, TrainConfig())
         assert store.step_count == 1
         assert set(store.values) == set(values)
         for name, value in values.items():
@@ -261,6 +274,35 @@ class TestAdamStep:
         assert set(store.opt_state) == set(moments)
         for name, moment in moments.items():
             assert np.array_equal(store.opt_state[name], moment)
+
+    def test_failed_step_leaves_nothing_behind(self):
+        # A step that raises on a NaN gradient must not leak into the next one:
+        # store A, which saw the failure, then matches store B bit for bit.
+        cfg = TrainConfig(lr=0.1)
+
+        def step(store, scale):
+            tape = ParamTape(store, trainable=True)
+            sum_(tape.get("w") * scale + tape.get("b") * tape.get("b")).backward()
+            adam_step(store, tape.grads(), cfg)
+
+        def fresh():
+            store = ParamStore(seed=3)
+            store.affine("w", (3, 2))
+            store.affine("b", (3, 2))
+            return store
+
+        poisoned = np.ones((3, 2))
+        poisoned[2, 0] = np.nan
+        a, b = fresh(), fresh()
+        for store in (a, b):
+            step(store, 2.0)
+        with pytest.raises(ValueError, match="non-finite gradient for parameter 'w'"):
+            step(a, poisoned)
+        for store in (a, b):
+            step(store, -1.5)
+        assert a.step_count == b.step_count == 2
+        assert snapshot(a) == snapshot(b)
+        assert {k: v.tobytes() for k, v in a.opt_state.items()} == {k: v.tobytes() for k, v in b.opt_state.items()}
 
 
 # -- gradient-check harness -------------------------------------------------------
@@ -285,8 +327,8 @@ class TestGradCheck:
 
     def test_detects_corrupted_gradient(self):
         # Analytic gradient of sum(x^2) is 2x; feeding 3x must be flagged.
-        def wrong_grads(store: ParamStore) -> None:
-            store.grads["x"][:] = 3.0 * store.values["x"]
+        def wrong_grads(store: ParamStore) -> dict[str, np.ndarray]:
+            return {"x": 3.0 * store.values["x"]}
 
         err = grad_check(quadratic_loss, quadratic_store(), eps=1e-6, grad_fn=wrong_grads)
         assert err > 1e-2
@@ -296,6 +338,11 @@ class TestGradCheck:
         before = snapshot(store)
         grad_check(quadratic_loss, store, eps=1e-6)
         assert snapshot(store) == before
+
+    def test_unreached_parameter_counts_as_zero_gradient(self):
+        store = quadratic_store()
+        store.ones("unused", (3,))
+        assert grad_check(quadratic_loss, store, eps=1e-6) < 1e-8
 
     def test_max_coords_subsample_still_passes(self):
         err = grad_check(quadratic_loss, quadratic_store(), eps=1e-6, max_coords=2)
@@ -571,7 +618,7 @@ class TestBuildStoresAndGap:
 
     def test_build_stores_contains_both_param_families(self):
         store = build_stores(TOY, 30, 12, seed=0)
-        names = set(store.names())
+        names = set(store.values)
         assert {"tok_emb", "in_proj.w", "enc0.attn.wq", "g_proj.w"} <= names
         assert {"name_emb", "out_proj.w", "sim.w1", "sim.w2"} <= names
         assert store.values["tok_emb"].shape == (30, TOY.d_token)
