@@ -19,7 +19,7 @@ ArrayLike = Union["Tensor", np.ndarray, float, int]
 class Tensor:
     """A numpy array plus the closure needed to backpropagate through it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(
         self,
@@ -52,7 +52,14 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar tensor through the whole graph."""
+        """Backpropagate from a scalar tensor through the whole graph, once.
+
+        Backward is one-shot: each non-leaf node is released as soon as it
+        has passed its gradient on, its ``grad`` and closure set to ``None``
+        and its ``_parents`` to ``()``.  Only leaves (nodes without a
+        backward closure: parameters and inputs) keep ``.grad``.  The graph
+        is freed as it is walked, so it cannot be backpropagated again.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order: list[Tensor] = []
@@ -71,9 +78,15 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":

@@ -105,8 +105,9 @@ class EncoderConfig:
             raise ValueError("d_hidden must be divisible by n_heads")
         if any(w < 1 for w in self.conv_kernel_widths):
             raise ValueError("conv_kernel_widths must be >= 1")
-        if self.gnn_layers < 1 or self.gnn_hops < 1:
-            raise ValueError("gnn_layers and gnn_hops must be >= 1")
+        for name in ("gnn_layers", "gnn_hops"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

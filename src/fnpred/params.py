@@ -17,6 +17,7 @@ from .autograd import Tensor
 
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "params.bin"
+_TMP_SUFFIX = ".tmp"  # a checkpoint file being written
 
 
 class ParamStore:
@@ -80,39 +81,58 @@ class ParamTape:
 
 
 def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
-    """Write manifest + payload; returns the paths written."""
+    """Write manifest + payload; returns the paths written.
+
+    Each array is streamed into a temporary payload file in ``directory``,
+    and the manifest into a temporary file next to it.  Only once both are
+    complete are they renamed over ``params.bin`` and then ``manifest.txt``,
+    so a failure while writing leaves the previous checkpoint as it was and
+    removes the temporary files.  Between the two renames the directory
+    holds the new payload with the old manifest.  When the array layout is
+    unchanged, as for every save of one training run, the two manifests are
+    the same text, so that state is already the new checkpoint.  The files
+    are not fsynced: this guards against a crashed process, not against a
+    lost disk write.
+    """
     os.makedirs(directory, exist_ok=True)
-    lines = []
-    payload = bytearray()
-
-    def put(name: str, arr: np.ndarray) -> None:
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        shape = ",".join(str(s) for s in data.shape)
-        lines.append(f"{name}\t{shape}\tfloat64\t{len(payload)}")
-        payload.extend(data.tobytes())
-
-    for name, value in store.values.items():
-        put(f"param/{name}", value)
-    for name in sorted(store.opt_state):
-        put(f"opt/{name}", store.opt_state[name])
-    put("meta/step", np.array([float(store.step_count)]))
-
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     payload_path = os.path.join(directory, PAYLOAD_NAME)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(payload_path, "wb") as fh:
-        fh.write(bytes(payload))
+    manifest_tmp, payload_tmp = manifest_path + _TMP_SUFFIX, payload_path + _TMP_SUFFIX
+    arrays = [(f"param/{name}", value) for name, value in store.values.items()]
+    arrays += [(f"opt/{name}", store.opt_state[name]) for name in sorted(store.opt_state)]
+    arrays.append(("meta/step", np.array([float(store.step_count)])))
+    lines = []
+    try:
+        with open(payload_tmp, "wb") as fh:
+            offset = 0
+            for name, arr in arrays:
+                data = np.ascontiguousarray(arr, dtype="<f8")
+                shape = ",".join(str(s) for s in data.shape)
+                lines.append(f"{name}\t{shape}\tfloat64\t{offset}")
+                fh.write(data)
+                offset += data.nbytes
+        with open(manifest_tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(payload_tmp, payload_path)
+        os.replace(manifest_tmp, manifest_path)
+    except BaseException:
+        for path in (payload_tmp, manifest_tmp):
+            if os.path.exists(path):
+                os.remove(path)
+        raise
     return [manifest_path, payload_path]
 
 
 def load_checkpoint(directory: str) -> ParamStore:
-    """Reconstruct a ParamStore (values, moments, step counter) bit-exactly."""
+    """Reconstruct a ParamStore (values, moments, step counter) bit-exactly.
+
+    The manifest's arrays must tile ``params.bin`` exactly, in manifest
+    order: each starts where the previous one ends and the last one ends
+    at the end of the file.  Each array is read straight from its offset.
+    """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     payload_path = os.path.join(directory, PAYLOAD_NAME)
-    with open(payload_path, "rb") as fh:
-        payload = fh.read()
-    store = ParamStore(seed=0)
+    entries = []
     with open(manifest_path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -124,16 +144,34 @@ def load_checkpoint(directory: str) -> ParamStore:
             name, shape_text, dtype, offset_text = parts
             if dtype != "float64":
                 raise ValueError(f"manifest line {line_no}: unsupported dtype {dtype!r}")
+            if not (name.startswith(("param/", "opt/")) or name == "meta/step"):
+                raise ValueError(f"manifest line {line_no}: unknown section for {name!r}")
             shape = tuple(int(s) for s in shape_text.split(",") if s)
+            if any(d < 0 for d in shape):
+                raise ValueError(f"manifest line {line_no}: negative dimension in shape {shape_text!r}")
             count = int(np.prod(shape)) if shape else 1
-            offset = int(offset_text)
-            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+            entries.append((line_no, name, shape, count, int(offset_text)))
+    store = ParamStore(seed=0)
+    with open(payload_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        end, where = 0, "manifest"
+        for line_no, name, _, count, offset in entries:
+            where = f"manifest line {line_no}"
+            if offset != end:
+                kind = "a gap" if offset > end else "an overlap"
+                raise ValueError(f"{where}: offset {offset} leaves {kind} after byte {end}")
+            end = offset + 8 * count
+            if end > size:
+                raise ValueError(f"{where}: {name!r} ends at byte {end}, past the {size}-byte payload")
+        if end != size:
+            raise ValueError(f"{where}: the last array ends at byte {end}, leaving {size - end} trailing bytes")
+        for line_no, name, shape, count, offset in entries:
+            fh.seek(offset)
+            arr = np.fromfile(fh, dtype="<f8", count=count).reshape(shape)
             if name.startswith("param/"):
                 store.add(name[len("param/"):], arr)
             elif name.startswith("opt/"):
                 store.opt_state[name[len("opt/"):]] = arr
-            elif name == "meta/step":
-                store.step_count = int(arr[0])
             else:
-                raise ValueError(f"manifest line {line_no}: unknown section for {name!r}")
+                store.step_count = int(arr[0])
     return store

@@ -294,31 +294,24 @@ def sample_triplet(
 
     Positives share the anchor's source but differ in optimization level;
     negatives carry a different preprocessed name.  Anchors are uniform over
-    records having at least one positive.
+    records having at least one positive.  One call takes time linear in the
+    number of records.
     """
     if len(records) != len(labels):
         raise ValueError("records and label lists must align")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     keys = [tuple(l) for l in labels]
-    eligible = [
-        i
-        for i, rec in enumerate(records)
-        if any(
-            j != i and records[j].source_id == rec.source_id and records[j].opt != rec.opt
-            for j in range(len(records))
-        )
-    ]
+    by_source: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_source.setdefault(rec.source_id, []).append(i)
+    source_opts = {src: {records[j].opt for j in members} for src, members in by_source.items()}
+    eligible = [i for i, rec in enumerate(records) if len(source_opts[rec.source_id]) > 1]
     if not eligible:
         raise ValueError("no anchor has a same-source different-optimization positive")
     anchor = eligible[int(rng.integers(len(eligible)))]
-    positives = [
-        j
-        for j in range(len(records))
-        if j != anchor
-        and records[j].source_id == records[anchor].source_id
-        and records[j].opt != records[anchor].opt
-    ]
+    anchor_opt = records[anchor].opt
+    positives = [j for j in by_source[records[anchor].source_id] if records[j].opt != anchor_opt]
     negatives = [j for j in range(len(records)) if keys[j] != keys[anchor]]
     if not negatives:
         raise ValueError("no record with a different name to serve as negative")

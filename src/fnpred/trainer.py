@@ -160,6 +160,10 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig)
     is a zero gradient.  First/second moments persist in ``store.opt_state``
     under ``<name>.m`` / ``<name>.v``.  Every gradient is checked before any
     update, so a non-finite one leaves the store as it was.
+
+    The update runs in place through two scratch arrays per parameter and
+    evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``value -= (lr*m_hat) / (sqrt(v_hat) + eps)`` in that operand order.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -169,13 +173,21 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig)
         g = grads.get(name, 0.0)
         m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(value))
         v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(value))
+        a, b = np.empty_like(value), np.empty_like(value)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - cfg.beta1**t, out=a)  # m_hat
+        a *= cfg.lr
+        np.divide(v, 1.0 - cfg.beta2**t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        a /= b
+        value -= a
     store.step_count = t
 
 

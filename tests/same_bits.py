@@ -10,9 +10,12 @@ Usage::
 built with this directory's ``conftest`` helpers, so both runs read the same
 input.  In a temporary directory the script runs ``train --seed 7`` with
 criterion 11's config, ``predict`` with ``multitask/final``, and
-``pretrain-data --seed 7`` for ``infill``, ``cdi`` and ``dui``.  It prints one
-``sha256  name`` line per output file, sorted by name, then one line for the
-output of ``fnpred gradcheck`` at its defaults.  A failed command exits 1.
+``pretrain-data --seed 7`` for ``infill``, ``cdi`` and ``dui``.  It then
+passes ``multitask/final`` through ``load_checkpoint`` and ``save_checkpoint``
+into ``roundtrip/``, so the checkpoint reader and writer are covered too.  It
+prints one ``sha256  name`` line per output file, sorted by name, then one
+line for the output of ``fnpred gradcheck`` at its defaults.  A failed
+command exits 1.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ def main(argv: list[str]) -> int:
     import fnpred
     from conftest import defuse_chain_record, make_dataset, write_jsonl
     from fnpred.cli import run
+    from fnpred.params import load_checkpoint, save_checkpoint
 
     if not os.path.abspath(fnpred.__file__).startswith(os.path.join(root, "src") + os.sep):
         print(f"fnpred was imported from {fnpred.__file__}, not from {root}/src", file=sys.stderr)
@@ -70,6 +74,8 @@ def main(argv: list[str]) -> int:
         for task in ("infill", "cdi", "dui"):
             call(["pretrain-data", "--input", data, "--task", task, "--seed", "7",
                   "--out", os.path.join(out, f"pretrain-data.{task}.jsonl")])
+        final = load_checkpoint(os.path.join(out, "train", "multitask", "final"))
+        save_checkpoint(final, os.path.join(out, "roundtrip"))
         lines = []
         for dirpath, _, filenames in os.walk(out):
             for filename in filenames:

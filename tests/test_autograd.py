@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,35 @@ class TestGraphMechanics:
         c = Tensor(np.ones((2, 2)))
         ag.sum_(x * c).backward()
         assert c.grad is None or not np.any(c.grad)
+
+    def test_backward_frees_a_dropped_intermediate(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = ag.tanh(x * 3.0)
+        ref = weakref.ref(hidden)
+        loss = ag.sum_(hidden * hidden)
+        del hidden
+        gc.disable()  # the graph must die by reference counting alone
+        try:
+            assert ref() is not None  # the loss's graph still holds it
+            loss.backward()
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_backward_is_one_shot_and_leaves_keep_grads(self):
+        x = Tensor(np.array([0.5, -1.5]), requires_grad=True)
+        c = Tensor(np.array([2.0, 3.0]))
+        y = x * c
+        z = ag.tanh(y)
+        loss = ag.sum_(z * z)
+        loss.backward()
+        assert loss._parents == () and loss._backward is None
+        for node in (loss, y, z):
+            assert node.grad is None and node._parents == ()
+        assert c.grad is None
+        numeric = fd_grad(lambda v: float(np.sum(np.tanh(v * c.data) ** 2)), x.data)
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-8)
+        assert loss.item() == pytest.approx(float(np.sum(np.tanh([1.0, -4.5]) ** 2)))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

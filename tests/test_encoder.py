@@ -171,7 +171,7 @@ class TestEncoderConfig:
         [
             ({"conv_kernel_widths": [0]}, "widths"),
             ({"gnn_layers": 0}, "gnn_layers"),
-            ({"gnn_hops": 0}, "gnn_layers"),
+            ({"gnn_hops": 0}, "gnn_hops"),
             ({"dropout": 1.0}, "dropout"),
             ({"dropout": -0.1}, "dropout"),
         ],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fnpred.autograd as ag
+import fnpred.params as params
 from fnpred.params import MANIFEST_NAME, PAYLOAD_NAME, ParamStore, ParamTape, load_checkpoint, save_checkpoint
 
 
@@ -113,3 +114,105 @@ class TestCheckpoint:
         payload.write_bytes(payload.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(str(tmp_path / "d"))
+
+    def test_failed_write_keeps_old_checkpoint_and_no_temp_files(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "e")
+        old = small_store(seed=2)
+        save_checkpoint(old, directory)
+        before = {f: (tmp_path / "e" / f).read_bytes() for f in (MANIFEST_NAME, PAYLOAD_NAME)}
+
+        class DiskFullAfterTwoArrays:
+            """A payload file whose third write fails, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return DiskFullAfterTwoArrays(fh) if "b" in mode else fh
+
+        monkeypatch.setattr(params, "open", failing_open, raising=False)
+        new = small_store(seed=3)
+        new.step_count = 9
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(new, directory)
+        monkeypatch.undo()
+        assert sorted(os.listdir(directory)) == sorted([MANIFEST_NAME, PAYLOAD_NAME])
+        for fname, data in before.items():
+            assert (tmp_path / "e" / fname).read_bytes() == data
+        loaded = load_checkpoint(directory)
+        assert loaded.step_count == old.step_count
+        for name, value in old.values.items():
+            assert loaded.values[name].tobytes() == value.tobytes()
+
+    def test_write_replaces_previous_checkpoint(self, tmp_path):
+        directory = str(tmp_path / "f")
+        save_checkpoint(small_store(seed=2), directory)
+        newer = small_store(seed=4)
+        newer.step_count = 3
+        save_checkpoint(newer, directory)
+        assert sorted(os.listdir(directory)) == sorted([MANIFEST_NAME, PAYLOAD_NAME])
+        loaded = load_checkpoint(directory)
+        assert loaded.step_count == 3
+        assert all(loaded.values[n].tobytes() == v.tobytes() for n, v in newer.values.items())
+
+
+class TestPayloadTiling:
+    """``load_checkpoint`` accepts only arrays that tile the payload exactly."""
+
+    def _saved(self, tmp_path):
+        save_checkpoint(small_store(), str(tmp_path))
+        manifest = tmp_path / MANIFEST_NAME
+        return manifest, manifest.read_text().splitlines()
+
+    def _set_offset(self, lines, index, offset):
+        fields = lines[index].split("\t")
+        fields[3] = str(offset)
+        lines[index] = "\t".join(fields)
+
+    def test_gap_named(self, tmp_path):
+        manifest, lines = self._saved(tmp_path)
+        self._set_offset(lines, 1, 4 * 3 * 8 + 8)  # "b" starts 8 bytes after "w" ends
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="manifest line 2: offset 104 leaves a gap after byte 96"):
+            load_checkpoint(str(tmp_path))
+
+    def test_overlap_named(self, tmp_path):
+        manifest, lines = self._saved(tmp_path)
+        self._set_offset(lines, 2, 96)  # "emb" starts inside "b"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="manifest line 3: offset 96 leaves an overlap after byte 120"):
+            load_checkpoint(str(tmp_path))
+
+    def test_array_past_end_named(self, tmp_path):
+        manifest, lines = self._saved(tmp_path)
+        lines[-1] = lines[-1].replace("\t1\t", "\t2\t", 1)  # meta/step claims two values
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"manifest line {len(lines)}: 'meta/step' ends at byte \d+, past"):
+            load_checkpoint(str(tmp_path))
+
+    def test_trailing_bytes_named(self, tmp_path):
+        manifest, lines = self._saved(tmp_path)
+        with open(tmp_path / PAYLOAD_NAME, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(ValueError, match=f"manifest line {len(lines)}: .* leaving 8 trailing bytes"):
+            load_checkpoint(str(tmp_path))
+
+    def test_negative_dimension_named(self, tmp_path):
+        manifest, lines = self._saved(tmp_path)
+        lines[0] = lines[0].replace("\t4,3\t", "\t-4,3\t", 1)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="manifest line 1: negative dimension"):
+            load_checkpoint(str(tmp_path))

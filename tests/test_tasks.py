@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, make_record
 from fnpred.autograd import Tensor
@@ -486,6 +488,71 @@ class TestJointLoss:
 
 
 # -- triplet sampling ---------------------------------------------------------------
+
+def sample_triplet_oracle(records, labels, rng):
+    """The quadratic rescan ``sample_triplet`` replaced; same draws, same order."""
+    if len(records) != len(labels):
+        raise ValueError("records and label lists must align")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
+    keys = [tuple(l) for l in labels]
+    eligible = [
+        i
+        for i, rec in enumerate(records)
+        if any(
+            j != i and records[j].source_id == rec.source_id and records[j].opt != rec.opt
+            for j in range(len(records))
+        )
+    ]
+    if not eligible:
+        raise ValueError("no anchor has a same-source different-optimization positive")
+    anchor = eligible[int(rng.integers(len(eligible)))]
+    positives = [
+        j
+        for j in range(len(records))
+        if j != anchor
+        and records[j].source_id == records[anchor].source_id
+        and records[j].opt != records[anchor].opt
+    ]
+    negatives = [j for j in range(len(records)) if keys[j] != keys[anchor]]
+    if not negatives:
+        raise ValueError("no record with a different name to serve as negative")
+    positive = positives[int(rng.integers(len(positives)))]
+    negative = negatives[int(rng.integers(len(negatives)))]
+    return TrainTriplet(anchor=anchor, positive=positive, negative=negative)
+
+
+# (source index, opt level, name index) per record: few sources and opt levels,
+# so one-record sources, repeated opt levels and shared names all come up.
+_CORPORA = st.lists(
+    st.tuples(st.integers(0, 4), st.sampled_from(["O0", "O1", "O2"]), st.integers(0, 3)),
+    min_size=1, max_size=14,
+)
+
+
+def _draw_all(sampler, records, labels, seed: int, draws: int = 4):
+    """The sampler's triplets from one generator, or the message it raised."""
+    rng = np.random.default_rng(seed)
+    try:
+        return [sampler(records, labels, rng) for _ in range(draws)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=_CORPORA, seed=st.integers(0, 2**16), one_name=st.booleans())
+def test_sample_triplet_matches_quadratic_oracle(corpus, seed, one_name):
+    names = ["alpha_one", "beta_two", "gamma_three", "delta_four"]
+    records = [
+        make_record(f"r{i}", names[0 if one_name else n], f"src{s}", opt=o)
+        for i, (s, o, n) in enumerate(corpus)
+    ]
+    labels = [rec.name.split("_") for rec in records]
+    got = _draw_all(sample_triplet, records, labels, seed)
+    assert got == _draw_all(sample_triplet_oracle, records, labels, seed)
+    if one_name:
+        assert isinstance(got, str)
+
 
 class TestSampleTriplet:
     def _abc(self):

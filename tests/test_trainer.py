@@ -169,6 +169,18 @@ class TestEncoderConfigIO:
         with pytest.raises(ValueError, match=message):
             load_encoder_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [("gnn_layers=2\ngnn_hops=0\n", "config line 2: gnn_hops must be >= 1"),
+         ("gnn_hops=2\ngnn_layers=0\n", "config line 2: gnn_layers must be >= 1")],
+        ids=["gnn_hops", "gnn_layers"],
+    )
+    def test_gnn_setting_named_on_its_own_line(self, tmp_path, text, message):
+        path = tmp_path / "enc.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_encoder_config(str(path))
+
     @pytest.mark.parametrize("n_heads", [0, -2])
     def test_n_heads_below_one_rejected(self, tmp_path, n_heads):
         with pytest.raises(ValueError, match="n_heads must be >= 1"):
