@@ -35,7 +35,7 @@ from .relations import (
     train_skipgram,
     train_subword_embeddings,
 )
-from .tasks import NameVocabulary, predict_name, score_tensor, similarity_h_tensor
+from .tasks import NameVocabulary, score_tensor, similarity_h_tensor
 from .tokenizer import build_pipeline, bundled_corpus, bundled_lexicon, load_corpus, load_lexicon, preprocess_name
 from .trainer import (
     TrainConfig,
@@ -44,6 +44,7 @@ from .trainer import (
     gradcheck_paths,
     load_encoder_config,
     load_train_config,
+    predict_records,
     pretrain_alm,
     save_encoder_config,
     save_train_config,
@@ -288,14 +289,21 @@ def _load_model(model_dir: str):
 
 
 def _cmd_predict(ns) -> tuple[str, list[str]]:
+    if ns.max_len < 1:
+        raise ValueError(f"--max-len must be at least 1, got {ns.max_len}")
     store, enc_config, token_vocab = _load_model(ns.model)
     vocab_path = ns.vocab or os.path.join(ns.model, "name_vocab.tsv")
     name_vocab = NameVocabulary.load(vocab_path)
+    n_outputs = store.values["out_proj.w"].shape[1]
+    if len(name_vocab) != n_outputs:
+        raise ValueError(
+            f"name vocabulary {vocab_path} has {len(name_vocab)} labels, "
+            f"but the checkpoint's out_proj.w has {n_outputs} columns"
+        )
     records = parse_function_records(ns.input)
+    names = predict_records(records, store, enc_config, token_vocab, name_vocab, ns.max_len)
     with open(ns.out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            enc = encode_function(rec, store, enc_config, token_vocab)
-            labels = predict_name(enc.emb, store, enc_config, name_vocab, max_len=ns.max_len)
+        for rec, labels in zip(records, names):
             fh.write(f"{rec.id}\t{' '.join(labels)}\n")
     return f"predicted names for {len(records)} records to {ns.out}", [ns.out]
 

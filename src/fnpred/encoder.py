@@ -196,6 +196,47 @@ def _feed_forward(tape: ParamTape, prefix: str, x: Tensor) -> Tensor:
     return _affine(tape, hidden, f"{prefix}.w2", f"{prefix}.b2")
 
 
+def attention_heads(tape: ParamTape, prefix: str, name: str, x: Tensor, n_heads: int) -> Tensor:
+    """Project ``x`` (T x d) by ``{prefix}.w{name}`` and split it into heads.
+
+    ``name`` is ``q``, ``k`` or ``v``.  Queries and values come out as
+    heads x T x d_head, keys already transposed as heads x d_head x T.  The
+    key projection has no bias: it would add one constant to every score of
+    a query row, which softmax cancels.
+    """
+    t, d = x.shape
+    proj = x @ tape.get(f"{prefix}.w{name}")
+    if name != "k":
+        proj = proj + tape.get(f"{prefix}.b{name}")
+    return ag.transpose(ag.reshape(proj, (t, n_heads, d // n_heads)), (1, 2, 0) if name == "k" else (1, 0, 2))
+
+
+def attend(
+    tape: ParamTape,
+    prefix: str,
+    q: Tensor,
+    k_t: Tensor,
+    v: Tensor,
+    bias: Optional[np.ndarray] = None,
+    attn_sink: Optional[list] = None,
+) -> Tensor:
+    """Scaled dot-product attention over head-split projections.
+
+    ``bias`` is added to the heads x Tq x Tk scores.  The heads are merged
+    and projected by ``{prefix}.wo`` into Tq x d.  ``attn_sink``, when
+    given, receives one Tq x Tk attention array per head.
+    """
+    n_heads, t_q, d_head = q.shape
+    scores = (q @ k_t) * (1.0 / math.sqrt(d_head))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    attn = ag.softmax(scores, axis=-1)
+    if attn_sink is not None:
+        attn_sink.extend(attn.data.copy())
+    merged = ag.reshape(ag.transpose(attn @ v, (1, 0, 2)), (t_q, n_heads * d_head))
+    return _affine(tape, merged, f"{prefix}.wo", f"{prefix}.bo")
+
+
 def attention(
     tape: ParamTape,
     prefix: str,
@@ -209,30 +250,12 @@ def attention(
 
     ``queries`` is Tq x d and ``keys_values`` Tk x d; ``bias`` is added to
     the Tq x Tk scores of every head.  ``attn_sink``, when given, receives
-    one Tq x Tk attention array per head.  The key projection has no bias:
-    it would add one constant to every score of a query row, which softmax
-    cancels.
+    one Tq x Tk attention array per head.
     """
-    t_q, d = queries.shape
-    d_head = d // n_heads
-
-    def project(x: Tensor, name: str, axes: tuple[int, int, int]) -> Tensor:
-        proj = x @ tape.get(f"{prefix}.w{name}")
-        if name != "k":
-            proj = proj + tape.get(f"{prefix}.b{name}")
-        return ag.transpose(ag.reshape(proj, (x.shape[0], n_heads, d_head)), axes)
-
-    q = project(queries, "q", (1, 0, 2))  # heads x Tq x d_head
-    k_t = project(keys_values, "k", (1, 2, 0))  # heads x d_head x Tk
-    v = project(keys_values, "v", (1, 0, 2))  # heads x Tk x d_head
-    scores = (q @ k_t) * (1.0 / math.sqrt(d_head))
-    if bias is not None:
-        scores = scores + Tensor(bias)
-    attn = ag.softmax(scores, axis=-1)
-    if attn_sink is not None:
-        attn_sink.extend(attn.data.copy())
-    merged = ag.reshape(ag.transpose(attn @ v, (1, 0, 2)), (t_q, d))
-    return _affine(tape, merged, f"{prefix}.wo", f"{prefix}.bo")
+    q = attention_heads(tape, prefix, "q", queries, n_heads)
+    k_t = attention_heads(tape, prefix, "k", keys_values, n_heads)
+    v = attention_heads(tape, prefix, "v", keys_values, n_heads)
+    return attend(tape, prefix, q, k_t, v, bias, attn_sink)
 
 
 # -- convolutional node vectors ---------------------------------------------

@@ -2,10 +2,16 @@
 
 Name generation: a transformer decoder with causal self-attention and
 cross-attention over the encoding sequence, trained with teacher-forced
-negative log-likelihood (J_cg) and decoded greedily.  Similarity: tanh of
-the max-pooled encoding, compared through two affine projections with
-cosine similarity and a margin ranking loss (J_cs).  The joint objective
-is their weighted sum.
+negative log-likelihood (J_cg) and decoded greedily.  Greedy decoding
+(``predict_names``) runs a batch of encodings at once: each layer projects
+the cross-attention keys and values once per batch and caches the
+self-attention keys and values, so a step computes one new position per
+function still decoding.  Ties take the lowest label id.
+``decode_step_probs`` recomputes a step over the whole prefix and is the
+oracle that the cached path is tested against.  Similarity: tanh of the
+max-pooled encoding, compared through two affine projections with cosine
+similarity and a margin ranking loss (J_cs).  The joint objective is their
+weighted sum.
 """
 
 from __future__ import annotations
@@ -17,7 +23,17 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .encoder import _MASK_BIAS, EncoderConfig, _affine, _as_tape, _feed_forward, _layer_norm, attention
+from .encoder import (
+    _MASK_BIAS,
+    EncoderConfig,
+    _affine,
+    _as_tape,
+    _feed_forward,
+    _layer_norm,
+    attend,
+    attention,
+    attention_heads,
+)
 from .ingest import FunctionRecord
 from .params import ParamStore, ParamTape
 
@@ -203,6 +219,79 @@ def name_loss(
     return -ag.sum_(logp * Tensor(onehot))
 
 
+def predict_names(
+    embs: Sequence[Union[Tensor, np.ndarray]],
+    params: Union[ParamStore, ParamTape],
+    config: EncoderConfig,
+    vocab: NameVocabulary,
+    max_len: int = 8,
+    logits_sink: Optional[list] = None,
+) -> list[list[str]]:
+    """Greedy decoding of a batch of encodings, one label list per encoding.
+
+    A function decodes until EOS, ``max_len`` labels or a prefix of
+    ``config.seq_cap`` ids.  A PAD or BOS argmax extends the prefix but emits
+    no label; ties take the lowest id.
+
+    The batch runs as one set of rows.  The encodings are stacked, and each
+    layer projects their cross-attention keys and values once.  Each step
+    computes one new row for every function still decoding and appends its
+    self-attention key and value to that layer's cache.  A ``_MASK_BIAS``
+    mask lets each row attend only to the keys of its own function, so a
+    function that leaves the batch just stops adding rows.
+    ``logits_sink``, when given, receives one (function indices, logits)
+    pair per step.
+    """
+    tape = _as_tape(params)
+    c = config
+    rows = [_as_emb_tensor(e).data for e in embs]
+    out: list[list[str]] = [[] for _ in rows]
+    if not rows or max_len < 1 or c.seq_cap < 2:
+        return out
+    memory = Tensor(np.concatenate(rows))
+    memory_owner = np.repeat(np.arange(len(rows)), [r.shape[0] for r in rows])
+    cross = [
+        [attention_heads(tape, f"dec{i}.cross", w, memory, c.n_heads) for w in ("k", "v")]
+        for i in range(c.n_layers)
+    ]
+    cache: list[list[Tensor]] = [[] for _ in range(c.n_layers)]
+    cache_owner = np.zeros(0, dtype=np.int64)
+    live = np.arange(len(rows))
+    ids = np.full(len(rows), NAME_BOS)
+    step = 0
+    while live.size:
+        cache_owner = np.concatenate([cache_owner, live])
+        self_bias = np.where(cache_owner == live[:, None], 0.0, _MASK_BIAS)
+        cross_bias = np.where(memory_owner == live[:, None], 0.0, _MASK_BIAS)
+        x = ag.take_rows(tape.get("name_emb"), ids) + tape.get("dec_pos_emb")[step : step + 1]
+        for i in range(c.n_layers):
+            p = f"dec{i}"
+            normed = _layer_norm(tape, x, f"{p}.ln1")
+            q, k_t, v = (attention_heads(tape, f"{p}.self", w, normed, c.n_heads) for w in ("q", "k", "v"))
+            if cache[i]:
+                k_t = ag.concat([cache[i][0], k_t], axis=-1)
+                v = ag.concat([cache[i][1], v], axis=-2)
+            cache[i] = [k_t, v]
+            x = x + attend(tape, f"{p}.self", q, k_t, v, self_bias)
+            q = attention_heads(tape, f"{p}.cross", "q", _layer_norm(tape, x, f"{p}.ln2"), c.n_heads)
+            x = x + attend(tape, f"{p}.cross", q, cross[i][0], cross[i][1], cross_bias)
+            x = x + _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln3"))
+        logits = _affine(tape, _layer_norm(tape, x, "dec_final_ln"), "out_proj.w", "out_proj.b")
+        if logits_sink is not None:
+            logits_sink.append((live.copy(), logits.data.copy()))
+        nxt = np.argmax(ag.softmax(logits, axis=-1).data, axis=-1)
+        step += 1
+        keep = nxt != NAME_EOS
+        for j in np.flatnonzero(keep):
+            if nxt[j] not in (NAME_PAD, NAME_BOS):
+                out[live[j]].append(vocab.label(int(nxt[j])))
+                keep[j] = len(out[live[j]]) < max_len
+        if step + 1 >= c.seq_cap:  # every prefix now holds step + 1 ids
+            keep[:] = False
+        live, ids = live[keep], nxt[keep]
+    return out
+
+
 def predict_name(
     emb: Union[Tensor, np.ndarray],
     params: Union[ParamStore, ParamTape],
@@ -210,22 +299,8 @@ def predict_name(
     vocab: NameVocabulary,
     max_len: int = 8,
 ) -> list[str]:
-    """Greedy decoding until EOS, ``max_len`` labels or a prefix of
-    ``config.seq_cap`` ids (PAD and BOS argmaxes extend the prefix but emit
-    no label); ties take the lowest id."""
-    prefix = [NAME_BOS]
-    out: list[str] = []
-    emb_t = _as_emb_tensor(emb)
-    tape = _as_tape(params)
-    while len(out) < max_len and len(prefix) < config.seq_cap:
-        probs = decode_step_probs(emb_t, prefix, tape, config)
-        nxt = int(np.argmax(probs))
-        if nxt == NAME_EOS:
-            break
-        prefix.append(nxt)
-        if nxt not in (NAME_PAD, NAME_BOS):
-            out.append(vocab.label(nxt))
-    return out
+    """Greedy decoding of one encoding; see :func:`predict_names`."""
+    return predict_names([emb], params, config, vocab, max_len)[0]
 
 
 # -- similarity head ----------------------------------------------------------

@@ -33,7 +33,7 @@ from .tasks import (
     init_task_params,
     joint_loss,
     name_loss,
-    predict_name,
+    predict_names,
     ranking_loss,
     sample_triplet,
     score_tensor,
@@ -41,6 +41,7 @@ from .tasks import (
 )
 
 _VALID_STREAM = 999_983  # rng stream tag for validation batches
+DECODE_GROUP = 16  # records that predict_records encodes, then decodes in one batch
 
 
 # -- configuration ------------------------------------------------------------
@@ -514,6 +515,30 @@ def _guard_against_leakage(
             )
 
 
+def predict_records(
+    records: Sequence[FunctionRecord],
+    store: ParamStore,
+    enc_config: EncoderConfig,
+    token_vocab: TokenVocab,
+    name_vocab: NameVocabulary,
+    max_name_len: int = 8,
+) -> list[list[str]]:
+    """Greedy name of each record, in input order.
+
+    Records are encoded and decoded ``DECODE_GROUP`` at a time, so only one
+    group's encodings are held at once.
+    """
+    tape = ParamTape(store, trainable=False)
+    names: list[list[str]] = []
+    for start in range(0, len(records), DECODE_GROUP):
+        embs = [
+            encode_function(rec, tape, enc_config, token_vocab).emb
+            for rec in records[start : start + DECODE_GROUP]
+        ]
+        names.extend(predict_names(embs, tape, enc_config, name_vocab, max_len=max_name_len))
+    return names
+
+
 def validation_f1(
     valid_records: Sequence[FunctionRecord],
     valid_labels: Sequence[Sequence[str]],
@@ -523,12 +548,8 @@ def validation_f1(
     name_vocab: NameVocabulary,
     max_name_len: int = 8,
 ) -> float:
-    pairs = []
-    for rec, gold in zip(valid_records, valid_labels):
-        enc = encode_function(rec, store, enc_config, token_vocab)
-        pred = predict_name(enc.emb, store, enc_config, name_vocab, max_len=max_name_len)
-        pairs.append((pred, list(gold)))
-    _, prf_scores = evaluate_pairs(pairs)
+    preds = predict_records(valid_records, store, enc_config, token_vocab, name_vocab, max_name_len)
+    _, prf_scores = evaluate_pairs([(pred, list(gold)) for pred, gold in zip(preds, valid_labels)])
     return prf_scores.f1
 
 

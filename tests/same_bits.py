@@ -10,7 +10,10 @@ Usage::
 built with this directory's ``conftest`` helpers, so both runs read the same
 input.  In a temporary directory the script runs ``train --seed 7`` with
 criterion 11's config, ``predict`` with ``multitask/final``, and
-``pretrain-data --seed 7`` for ``infill``, ``cdi`` and ``dui``.  It then
+``pretrain-data --seed 7`` for ``infill``, ``cdi`` and ``dui``.  That model
+ends every name at EOS, so a second ``predict``, at ``--max-len 3``, uses a
+copy of it whose EOS output bias is lowered by 100: there every function
+stops at the length cap instead.  It then
 passes ``multitask/final`` through ``load_checkpoint`` and ``save_checkpoint``
 into ``roundtrip/``, so the checkpoint reader and writer are covered too.  It
 prints one ``sha256  name`` line per output file, sorted by name, then one
@@ -25,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 
@@ -45,6 +49,7 @@ def main(argv: list[str]) -> int:
     from conftest import defuse_chain_record, make_dataset, write_jsonl
     from fnpred.cli import run
     from fnpred.params import load_checkpoint, save_checkpoint
+    from fnpred.tasks import NAME_EOS
 
     if not os.path.abspath(fnpred.__file__).startswith(os.path.join(root, "src") + os.sep):
         print(f"fnpred was imported from {fnpred.__file__}, not from {root}/src", file=sys.stderr)
@@ -69,8 +74,16 @@ def main(argv: list[str]) -> int:
         out = os.path.join(tmp, "out")
         os.makedirs(out)
         call(["train", "--input", data, "--out-dir", os.path.join(out, "train"), "--config", cfg, "--seed", "7"])
-        call(["predict", "--model", os.path.join(out, "train", "multitask", "final"), "--input", data,
-              "--out", os.path.join(out, "predict.tsv")])
+        model = os.path.join(out, "train", "multitask", "final")
+        call(["predict", "--model", model, "--input", data, "--out", os.path.join(out, "predict.tsv")])
+        no_eos = os.path.join(tmp, "no-eos")
+        store = load_checkpoint(model)
+        store.values["out_proj.b"][NAME_EOS] -= 100.0
+        save_checkpoint(store, no_eos)
+        for extra in ("encoder_config.txt", "token_vocab.txt", "name_vocab.tsv"):
+            shutil.copy(os.path.join(model, extra), no_eos)
+        call(["predict", "--model", no_eos, "--input", data, "--max-len", "3",
+              "--out", os.path.join(out, "predict.no-eos.max-len-3.tsv")])
         for task in ("infill", "cdi", "dui"):
             call(["pretrain-data", "--input", data, "--task", task, "--seed", "7",
                   "--out", os.path.join(out, f"pretrain-data.{task}.jsonl")])

@@ -13,6 +13,7 @@ import pytest
 
 import fnpred
 from conftest import defuse_chain_record, make_dataset, write_jsonl
+from fnpred import trainer
 from fnpred.cli import run
 from fnpred.encoder import EncoderConfig, TokenVocab, init_encoder_params
 from fnpred.params import ParamStore, load_checkpoint
@@ -368,6 +369,49 @@ class TestPredictCommand:
         result = run(["predict", "--model", str(tmp_path / "nope"),
                       "--input", corpus_jsonl, "--out", str(tmp_path / "p.tsv")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("extra", [-4, 3])
+    def test_vocabulary_of_another_size_rejected_before_writing(self, tmp_path, corpus_jsonl, trained_model, extra):
+        model = trained_model["model"]
+        outputs = load_checkpoint(model).values["out_proj.w"].shape[1]
+        labels = NameVocabulary.load(os.path.join(model, "name_vocab.tsv")).id_to_label
+        size = outputs + extra
+        other = labels[:size] + [f"extra{i}" for i in range(size - len(labels))]
+        vocab_path = str(tmp_path / "other_vocab.tsv")
+        NameVocabulary(other).save(vocab_path)
+        out = tmp_path / "p.tsv"
+        result = run(["predict", "--model", model, "--input", corpus_jsonl,
+                      "--vocab", vocab_path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"has {size} labels" in result.summary
+        assert f"has {outputs} columns" in result.summary
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_max_len_below_one_rejected_before_writing(self, tmp_path, corpus_jsonl, trained_model, max_len):
+        out = tmp_path / "p.tsv"
+        result = run(["predict", "--model", trained_model["model"], "--input", corpus_jsonl,
+                      "--max-len", max_len, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "--max-len" in result.summary
+        assert not out.exists()
+
+    def test_failed_decode_leaves_no_output(self, tmp_path, corpus_jsonl, trained_model, monkeypatch):
+        calls = []
+
+        def fail_second_group(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("decoder failed")
+            return real(*args, **kwargs)
+
+        real = trainer.predict_names
+        monkeypatch.setattr(trainer, "DECODE_GROUP", 4)
+        monkeypatch.setattr(trainer, "predict_names", fail_second_group)
+        out = tmp_path / "p.tsv"
+        result = run(["predict", "--model", trained_model["model"], "--input", corpus_jsonl, "--out", str(out)])
+        assert result.exit_code == 1 and "decoder failed" in result.summary
+        assert not out.exists()
 
 
 class TestSimilarityCommand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, make_record
+from fnpred import autograd as ag
 from fnpred.autograd import Tensor
 from fnpred.encoder import EncoderConfig
 from fnpred.params import ParamStore, ParamTape
@@ -25,6 +27,7 @@ from fnpred.tasks import (
     joint_loss,
     name_loss,
     predict_name,
+    predict_names,
     ranking_loss,
     sample_triplet,
     score_tensor,
@@ -308,6 +311,156 @@ class TestPredictName:
         store.values["out_proj.b"][6] = 5.0
         out = predict_name(random_emb(seed=8), store, TOY, vocab, max_len=1)
         assert out == [vocab.label(5)]
+
+
+def oracle_decode(emb, store, config, vocab, max_len):
+    """The greedy loop over ``decode_step_probs``: labels, prefix, per-step
+    full-prefix logits and the exit (``eos``, ``max_len`` or ``seq_cap``)."""
+    prefix, labels, logits, probs = [NAME_BOS], [], [], []
+    while len(labels) < max_len and len(prefix) < config.seq_cap:
+        probs.append(decode_step_probs(emb, prefix, store, config))
+        states = decoder_oracle(emb, prefix, store, config)
+        logits.append(states[-1] @ store.values["out_proj.w"] + store.values["out_proj.b"])
+        nxt = int(np.argmax(probs[-1]))
+        if nxt == NAME_EOS:
+            return labels, prefix, logits, probs, "eos"
+        prefix.append(nxt)
+        if nxt not in (NAME_PAD, NAME_BOS):
+            labels.append(vocab.label(nxt))
+    return labels, prefix, logits, probs, "max_len" if len(labels) >= max_len else "seq_cap"
+
+
+def mixed_exit_store(vocab, seed, config, control_bias=(0.5, 0.5, 0.3), scale=3.0):
+    """A decoder whose PAD, BOS and EOS outputs compete with the labels, so
+    that functions stop at EOS, at ``max_len`` and at ``seq_cap``."""
+    store = task_store(len(vocab), seed=seed, config=config)
+    store.values["out_proj.w"] *= scale
+    store.values["out_proj.b"][[NAME_PAD, NAME_BOS, NAME_EOS]] = control_bias
+    return store
+
+
+def check_against_oracle(embs, store, config, vocab, max_len):
+    sink = []
+    got = predict_names(embs, store, config, vocab, max_len, logits_sink=sink)
+    want = [oracle_decode(e, store, config, vocab, max_len) for e in embs]
+    assert got == [w[0] for w in want]
+    steps = Counter()
+    for live, logits in sink:
+        assert logits.shape == (live.size, len(vocab))
+        for row, fn in zip(logits, live):
+            step = steps[fn]
+            assert np.max(np.abs(row - want[fn][2][step])) <= 1e-12
+            assert np.max(np.abs(softmax_oracle(row) - want[fn][3][step])) <= 1e-12
+            steps[fn] += 1
+    assert [steps[fn] for fn in range(len(embs))] == [len(w[2]) for w in want]
+    assert got == [predict_names([e], store, config, vocab, max_len)[0] for e in embs]
+    return want
+
+
+class TestPredictNames:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_layers=st.sampled_from([1, 2]),
+        seq_cap=st.integers(2, 10),
+        max_len=st.integers(1, 6),
+        rows=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        control_bias=st.tuples(*[st.floats(-1.0, 1.5)] * 3),
+    )
+    def test_matches_full_prefix_loop(self, seed, n_layers, seq_cap, max_len, rows, control_bias):
+        config = EncoderConfig.toy(n_layers=n_layers, seq_cap=seq_cap)
+        vocab = vocab10()
+        store = mixed_exit_store(vocab, seed, config, control_bias)
+        rng = np.random.default_rng(seed)
+        embs = [rng.normal(size=(r, config.d_hidden)) for r in rows]
+        check_against_oracle(embs, store, config, vocab, max_len)
+
+    def test_exits_at_eos_max_len_and_seq_cap_on_different_steps(self):
+        config = EncoderConfig.toy(n_layers=2, seq_cap=8)
+        vocab = vocab10()
+        store = mixed_exit_store(vocab, 13, config)
+        rng = np.random.default_rng(13)
+        embs = [rng.normal(size=(int(r), config.d_hidden)) for r in rng.integers(1, 21, size=6)]
+        want = check_against_oracle(embs, store, config, vocab, max_len=4)
+        exits = [w[4] for w in want]
+        assert set(exits) == {"eos", "max_len", "seq_cap"}
+        assert len({len(w[2]) for w in want}) >= 4  # functions leave the batch on different steps
+        assert any(t in (NAME_PAD, NAME_BOS) for w in want for t in w[1][1:])
+
+    def test_ties_take_lowest_id_in_a_batch(self):
+        vocab = vocab10()
+        store = task_store(len(vocab), seed=8)
+        store.values["out_proj.w"][:] = 0.0
+        store.values["out_proj.b"][:] = 0.0
+        store.values["out_proj.b"][[5, 6]] = 5.0
+        embs = [random_emb(rows=r, seed=r) for r in (1, 3, 7)]
+        assert predict_names(embs, store, TOY, vocab, max_len=2) == [[vocab.label(5)] * 2] * 3
+
+    def test_empty_batch(self):
+        vocab = vocab10()
+        assert predict_names([], task_store(len(vocab)), TOY, vocab) == []
+
+    def test_encodings_validated(self):
+        vocab = vocab10()
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            predict_names([random_emb(), np.zeros((0, 16))], task_store(len(vocab)), TOY, vocab)
+
+
+class CountingTape(ParamTape):
+    """A frozen tape that counts parameter reads, and the rows that each
+    parameter multiplies while it is installed as ``autograd.matmul``."""
+
+    def __init__(self, store: ParamStore):
+        super().__init__(store, trainable=False)
+        self.reads: Counter = Counter()
+        self.rows: Counter = Counter()
+
+    def get(self, name: str) -> Tensor:
+        self.reads[name] += 1
+        return super().get(name)
+
+    def matmul(self, real):
+        def spy(a, b):
+            names = {id(t): n for n, t in self._tensors.items()}
+            if id(b) in names:
+                self.rows[names[id(b)]] += int(np.prod(np.shape(a)[:-1]))
+            return real(a, b)
+
+        return spy
+
+
+class TestDecodeWork:
+    def _decode(self, monkeypatch, rows, config):
+        vocab = vocab10()
+        store = task_store(len(vocab), seed=3, config=config)
+        store.values["out_proj.w"][:] = 0.0
+        store.values["out_proj.b"][5] = 5.0  # every function emits 8 labels
+        tape = CountingTape(store)
+        monkeypatch.setattr(ag, "matmul", tape.matmul(ag.matmul))
+        embs = [random_emb(rows=r, seed=r) for r in rows]
+        names = predict_names(embs, tape, config, vocab, max_len=8)
+        assert names == [[vocab.label(5)] * 8] * len(rows)
+        return tape
+
+    @pytest.mark.parametrize("rows", [[5], [2, 9, 4]])
+    def test_cross_keys_and_values_projected_once_per_batch(self, monkeypatch, rows):
+        config = EncoderConfig.toy(n_layers=2)
+        tape = self._decode(monkeypatch, rows, config)
+        for i in range(config.n_layers):
+            for w in ("wk", "wv"):
+                assert tape.reads[f"dec{i}.cross.{w}"] == 1
+                assert tape.rows[f"dec{i}.cross.{w}"] == sum(rows)  # every encoding row once
+            assert tape.rows[f"dec{i}.cross.wq"] == 8 * len(rows)
+
+    @pytest.mark.parametrize("rows", [[5], [2, 9, 4]])
+    def test_self_attention_computes_one_row_per_function_and_step(self, monkeypatch, rows):
+        config = EncoderConfig.toy(n_layers=2)
+        tape = self._decode(monkeypatch, rows, config)
+        for i in range(config.n_layers):
+            for w in ("wq", "wk", "wv", "wo"):
+                assert tape.rows[f"dec{i}.self.{w}"] == 8 * len(rows)  # not 1 + 2 + ... + 8 = 36 each
+            assert tape.rows[f"dec{i}.ffn.w1"] == 8 * len(rows)
+        assert tape.rows["out_proj.w"] == 8 * len(rows)
 
 
 # -- similarity -------------------------------------------------------------------
