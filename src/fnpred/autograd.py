@@ -51,13 +51,25 @@ class Tensor:
         else:
             self.grad += g
 
+    def _accumulate_rows(self, idx: np.ndarray, g: np.ndarray) -> None:
+        """Accumulate ``g`` scatter-added into rows ``idx`` of a zero array of this shape."""
+        ga = np.zeros_like(self.data)
+        np.add.at(ga, idx, g)
+        self._accumulate(ga)
+
+    def _accumulate_slice(self, key, g: np.ndarray) -> None:
+        """Accumulate ``g`` written at ``key`` into a zero array of this shape."""
+        ga = np.zeros_like(self.data)
+        ga[key] = g
+        self._accumulate(ga)
+
     def backward(self) -> None:
         """Backpropagate from a scalar tensor through the whole graph, once.
 
         Backward is one-shot: each non-leaf node is released as soon as it
         has passed its gradient on, its ``grad`` and closure set to ``None``
         and its ``_parents`` to ``()``.  Only leaves (nodes without a
-        backward closure: parameters and inputs) keep ``.grad``.  The graph
+        backward closure: parameters and inputs) keep their gradient.  The graph
         is freed as it is walked, so it cannot be backpropagated again.
         """
         if self.data.size != 1:
@@ -246,28 +258,29 @@ def concat(parts: Iterable[ArrayLike], axis: int = 0) -> Tensor:
 
 
 def take_rows(a: ArrayLike, indices) -> Tensor:
-    """Gather rows by integer index; backward scatter-adds (repeats allowed)."""
+    """Gather rows by integer index; backward scatter-adds (repeats allowed).
+
+    The backward goes through ``a._accumulate_rows``, so a source that keeps
+    compact row gradients (a parameter on a ``ParamTape``) never receives an
+    array of its full size."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     out_data = a.data[idx]
 
     def bw(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        a._accumulate(ga)
+        a._accumulate_rows(idx, g)
 
     return _make(out_data, (a,), bw)
 
 
 def slice_view(a: ArrayLike, key) -> Tensor:
-    """Basic (non-repeating) slicing; backward writes into a zero buffer."""
+    """Basic (non-repeating) slicing; backward writes into a zero buffer
+    (through ``a._accumulate_slice``, as for ``take_rows``)."""
     a = as_tensor(a)
     out_data = a.data[key]
 
     def bw(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        a._accumulate(ga)
+        a._accumulate_slice(key, g)
 
     return _make(out_data, (a,), bw)
 

@@ -247,10 +247,8 @@ def _cmd_train(ns) -> tuple[str, list[str]]:
         token_vocab = TokenVocab.load(os.path.join(ns.alm_checkpoint, "token_vocab.txt"))
     else:
         token_vocab = TokenVocab.from_records(train_records)
-    # Not kept past this call: with its Adam moments a checkpoint is 3x the store's size.
     store = build_stores(
-        enc_config, len(token_vocab), len(name_vocab), cfg.seed,
-        encoder_from=load_checkpoint(ns.alm_checkpoint) if ns.alm_checkpoint else None,
+        enc_config, len(token_vocab), len(name_vocab), cfg.seed, encoder_from=ns.alm_checkpoint,
     )
 
     artifacts: list[str] = []
@@ -282,7 +280,7 @@ def _cmd_train(ns) -> tuple[str, list[str]]:
 
 
 def _load_model(model_dir: str):
-    store = load_checkpoint(model_dir)
+    store = load_checkpoint(model_dir, names=("param/",))  # values only: no moments, no step
     enc_config = load_encoder_config(os.path.join(model_dir, "encoder_config.txt"))
     token_vocab = TokenVocab.load(os.path.join(model_dir, "token_vocab.txt"))
     return store, enc_config, token_vocab

@@ -4,12 +4,15 @@ A checkpoint is a directory holding ``manifest.txt`` (one line per array:
 name, comma-joined shape, dtype, byte offset) and ``params.bin`` (the
 concatenated little-endian float64 payload).  Saving and loading round-trips
 bit-exactly, including optimizer moments and the step counter, so training
-can resume with an identical trajectory.
+can resume with an identical trajectory.  An array that no optimizer step
+has reached has no moments, so its ``opt/`` entries are absent.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -54,30 +57,115 @@ class ParamStore:
         return self.add(name, np.ones(shape))
 
 
+def _has_negative_zero(x: np.ndarray) -> bool:
+    return bool(np.any(np.signbit(x) & (x == 0.0)))
+
+
+class ParamLeaf(Tensor):
+    """A parameter's tensor on a tape; gathers and slices of it pass back
+    their compact gradients instead of arrays of its full size.
+
+    The compact parts wait, in the order backward produced them, until a
+    dense contribution arrives or :meth:`dense_grad` is called.  They are
+    then summed into ``grad`` with the bits of the dense path, in which
+    each part is first spread over a zero array of the full size:
+
+    - a gather's part sums its repeated rows from +0.0, so it never holds
+      a -0.0;
+    - a slice's part is the incoming gradient, -0.0 included;
+    - the first contribution is copied and later ones are added, and adding
+      a zero array turns every -0.0 outside a part's rows into +0.0.  The
+      full-size pass this needs runs only while ``grad`` may hold a -0.0.
+    """
+
+    __slots__ = ("_parts", "_negzero")
+
+    def __init__(self, data: np.ndarray, requires_grad: bool):
+        super().__init__(data, requires_grad=requires_grad)
+        self._parts: list[tuple[bool, object, np.ndarray]] = []  # (is a gather, index, gradient)
+        self._negzero: Optional[bool] = None  # may ``grad`` hold a -0.0? None: not known
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        if self._parts:
+            self._fold_parts()
+        super()._accumulate(g)
+        self._negzero = None
+
+    def _accumulate_rows(self, idx: np.ndarray, g: np.ndarray) -> None:
+        self._parts.append((True, idx, g))
+
+    def _accumulate_slice(self, key, g: np.ndarray) -> None:
+        self._parts.append((False, key, g))
+
+    def dense_grad(self) -> Optional[np.ndarray]:
+        """The summed gradient, or None if backward never reached this leaf."""
+        self._fold_parts()
+        return self.grad
+
+    def _fold_parts(self) -> None:
+        for is_gather, run in itertools.groupby(self._parts, key=lambda part: part[0]):
+            if is_gather:
+                self._fold_gathers([(idx, g) for _, idx, g in run])
+            else:
+                for _, key, g in run:
+                    self._fold_slice(key, g)
+        self._parts.clear()
+
+    def _fold_gathers(self, run: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Add consecutive gathers: each one's rows summed from +0.0, then
+        added to ``grad`` one gather after another, all in two ``add.at``."""
+        n, row_shape = len(self.data), self.data.shape[1:]
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif self._negzero is not False:
+            self.grad += 0.0  # the first gather's zero rows; its own rows hold no -0.0
+        rows = np.concatenate([idx.ravel() for idx, _ in run]) % n
+        calls = np.repeat(np.arange(len(run)), [idx.size for idx, _ in run])
+        grads = np.concatenate([g.reshape((idx.size,) + row_shape) for idx, g in run])
+        keys, inverse = np.unique(calls * n + rows, return_inverse=True)  # sorted by gather, then row
+        partial = np.zeros((keys.size,) + row_shape)
+        np.add.at(partial, inverse.ravel(), grads)
+        np.add.at(self.grad, keys % n, partial)
+        self._negzero = False
+
+    def _fold_slice(self, key, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+            self.grad[key] = g
+            self._negzero = _has_negative_zero(g)
+        elif self._negzero is False:
+            self.grad[key] += g
+        else:
+            summed = self.grad[key] + g
+            self.grad += 0.0  # the dense path's zeros outside ``key``
+            self.grad[key] = summed
+            self._negzero = _has_negative_zero(summed)
+
+
 class ParamTape:
     """Bridges a ParamStore into one autograd forward/backward pass.
 
-    Each parameter is wrapped in a Tensor at most once per tape, so gradient
-    contributions from repeated uses accumulate on the same node.  The tape
-    is the only holder of a step's gradients: after ``backward()`` on the
-    loss, :meth:`grads` hands them to the optimizer.
+    Each parameter is wrapped in a :class:`ParamLeaf` at most once per tape,
+    so gradient contributions from repeated uses accumulate on the same
+    node.  The tape is the only holder of a step's gradients: after
+    ``backward()`` on the loss, :meth:`grads` hands them to the optimizer.
     """
 
     def __init__(self, store: ParamStore, trainable: bool = True):
         self.store = store
         self.trainable = trainable
-        self._tensors: dict[str, Tensor] = {}
+        self._tensors: dict[str, ParamLeaf] = {}
 
     def get(self, name: str) -> Tensor:
         tensor = self._tensors.get(name)
         if tensor is None:
-            tensor = Tensor(self.store.values[name], requires_grad=self.trainable)
+            tensor = ParamLeaf(self.store.values[name], requires_grad=self.trainable)
             self._tensors[name] = tensor
         return tensor
 
     def grads(self) -> dict[str, np.ndarray]:
         """``{name: gradient}`` for each parameter that backward reached; a missing name means zero."""
-        return {name: t.grad for name, t in self._tensors.items() if t.grad is not None}
+        return {name: g for name, t in self._tensors.items() if (g := t.dense_grad()) is not None}
 
 
 def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
@@ -123,12 +211,18 @@ def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
     return [manifest_path, payload_path]
 
 
-def load_checkpoint(directory: str) -> ParamStore:
+def load_checkpoint(directory: str, names: Optional[Collection[str]] = None) -> ParamStore:
     """Reconstruct a ParamStore (values, moments, step counter) bit-exactly.
+
+    ``names`` selects the manifest entries to read: full entry names such as
+    ``"param/tok_emb"``, or whole sections such as ``"param/"``.  With None
+    every entry is read.  Entries not selected are never read, and a
+    selected name the manifest lacks is not an error.
 
     The manifest's arrays must tile ``params.bin`` exactly, in manifest
     order: each starts where the previous one ends and the last one ends
-    at the end of the file.  Each array is read straight from its offset.
+    at the end of the file.  This is checked for every entry, selected or
+    not.  Each selected array is read straight from its offset.
     """
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     payload_path = os.path.join(directory, PAYLOAD_NAME)
@@ -166,11 +260,14 @@ def load_checkpoint(directory: str) -> ParamStore:
         if end != size:
             raise ValueError(f"{where}: the last array ends at byte {end}, leaving {size - end} trailing bytes")
         for line_no, name, shape, count, offset in entries:
+            section = name[: name.index("/") + 1]
+            if names is not None and name not in names and section not in names:
+                continue
             fh.seek(offset)
             arr = np.fromfile(fh, dtype="<f8", count=count).reshape(shape)
-            if name.startswith("param/"):
+            if section == "param/":
                 store.add(name[len("param/"):], arr)
-            elif name.startswith("opt/"):
+            elif section == "opt/":
                 store.opt_state[name[len("opt/"):]] = arr
             else:
                 store.step_count = int(arr[0])

@@ -26,7 +26,7 @@ from .encoder import (
 )
 from .ingest import FunctionRecord
 from .metrics import evaluate_pairs
-from .params import ParamStore, ParamTape, save_checkpoint
+from .params import ParamStore, ParamTape, load_checkpoint, save_checkpoint
 from .pretrain import PRETRAIN_TASKS, task_samples
 from .tasks import (
     NameVocabulary,
@@ -159,8 +159,11 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig)
 
     ``grads`` maps names to gradients (``ParamTape.grads()``); a missing name
     is a zero gradient.  First/second moments persist in ``store.opt_state``
-    under ``<name>.m`` / ``<name>.v``.  Every gradient is checked before any
-    update, so a non-finite one leaves the store as it was.
+    under ``<name>.m`` / ``<name>.v`` and are created as zeros when an array
+    is first updated.  An array with no gradient and no moments is skipped:
+    with m = v = 0 its update would be exactly zero.  So ``opt_state`` holds
+    moments only for arrays that some step has reached.  Every gradient is
+    checked before any update, so a non-finite one leaves the store as it was.
 
     The update runs in place through two scratch arrays per parameter and
     evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
@@ -170,10 +173,18 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig)
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {name!r}")
     t = store.step_count + 1
+    moments = store.opt_state
     for name, value in store.values.items():
-        g = grads.get(name, 0.0)
-        m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(value))
-        v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(value))
+        g = grads.get(name)
+        m, v = moments.get(f"{name}.m"), moments.get(f"{name}.v")
+        if g is None:
+            if m is None and v is None:
+                continue
+            g = 0.0
+        if m is None:
+            m = moments[f"{name}.m"] = np.zeros_like(value)
+        if v is None:
+            v = moments[f"{name}.v"] = np.zeros_like(value)
         a, b = np.empty_like(value), np.empty_like(value)
         m *= cfg.beta1
         np.multiply(1.0 - cfg.beta1, g, out=a)
@@ -706,15 +717,19 @@ def build_stores(
     token_vocab_size: int,
     name_vocab_size: int,
     seed: int,
-    encoder_from: Optional[ParamStore] = None,
+    encoder_from: Optional[str] = None,
 ) -> ParamStore:
-    """Fresh store with encoder and task parameters initialized in order; ``encoder_from``
-    supplies the encoder group (the arrays ``init_encoder_params`` declares)."""
+    """Fresh store with encoder and task parameters initialized in order.
+
+    ``encoder_from``, a checkpoint directory, supplies the encoder group (the
+    arrays ``init_encoder_params`` declares); only those arrays are read.
+    """
     store = ParamStore(seed=seed)
     init_encoder_params(store, enc_config, token_vocab_size)
     if encoder_from is not None:
+        saved = load_checkpoint(encoder_from, names={f"param/{name}" for name in store.values})
         for name, value in store.values.items():
-            source = encoder_from.values.get(name)
+            source = saved.values.get(name)
             if source is None or source.shape != value.shape:
                 found = "missing" if source is None else f"shaped {source.shape}"
                 raise ValueError(

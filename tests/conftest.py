@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +136,20 @@ def dataset_jsonl(tmp_path, dataset_small):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def checkpoint_entries(directory) -> dict[str, tuple[str, int, bytes]]:
+    """Each manifest entry of a checkpoint as (shape text, byte offset, bytes),
+    read straight from the payload rather than through ``load_checkpoint``."""
+    entries = {}
+    with open(os.path.join(directory, "manifest.txt"), encoding="utf-8") as manifest, \
+            open(os.path.join(directory, "params.bin"), "rb") as payload:
+        for line in manifest.read().splitlines():
+            name, shape, _, offset = line.split("\t")
+            payload.seek(int(offset))
+            data = payload.read(8 * math.prod(int(d) for d in shape.split(",") if d))
+            entries[name] = (shape, int(offset), data)
+    return entries
 
 
 def roundtrip_jsonl(records, path):

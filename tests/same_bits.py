@@ -16,9 +16,12 @@ copy of it whose EOS output bias is lowered by 100: there every function
 stops at the length cap instead.  It then
 passes ``multitask/final`` through ``load_checkpoint`` and ``save_checkpoint``
 into ``roundtrip/``, so the checkpoint reader and writer are covered too.  It
-prints one ``sha256  name`` line per output file, sorted by name, then one
-line for the output of ``fnpred gradcheck`` at its defaults.  A failed
-command exits 1.
+prints one ``sha256  name`` line per output file and, for every checkpoint,
+one ``sha256  <dir>/<entry>`` line per manifest entry (``param/...``,
+``opt/...``, ``meta/step``), sorted by name, then one line for the output of
+``fnpred gradcheck`` at its defaults.  An entry's digest covers its shape
+and its bytes but not its offset, so an entry keeps its line when entries
+before it are added or dropped.  A failed command exits 1.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def main(argv: list[str]) -> int:
     root = os.path.abspath(parser.parse_args(argv).root)
     sys.path[:0] = [os.path.join(root, "src"), HERE]
     import fnpred
-    from conftest import defuse_chain_record, make_dataset, write_jsonl
+    from conftest import checkpoint_entries, defuse_chain_record, make_dataset, write_jsonl
     from fnpred.cli import run
     from fnpred.params import load_checkpoint, save_checkpoint
     from fnpred.tasks import NAME_EOS
@@ -94,6 +97,10 @@ def main(argv: list[str]) -> int:
             for filename in filenames:
                 path = os.path.join(dirpath, filename)
                 lines.append(f"{_sha256(path)}  {os.path.relpath(path, out)}")
+            if "manifest.txt" in filenames:
+                for name, (shape, _, data) in checkpoint_entries(dirpath).items():
+                    digest = hashlib.sha256(f"{shape}\n".encode("utf-8") + data).hexdigest()
+                    lines.append(f"{digest}  {os.path.relpath(dirpath, out)}/{name}")
         gradcheck = call(["gradcheck"]).encode("utf-8")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     print(f"{hashlib.sha256(gradcheck).hexdigest()}  gradcheck (stdout)")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fnpred
-from conftest import defuse_chain_record, make_dataset, write_jsonl
+from conftest import checkpoint_entries, defuse_chain_record, make_dataset, write_jsonl
 from fnpred import trainer
 from fnpred.cli import run
 from fnpred.encoder import EncoderConfig, TokenVocab, init_encoder_params
@@ -64,6 +64,27 @@ def trained_model(tmp_path_factory, corpus_jsonl, small_train_cfg):
     assert result.exit_code == 0, result.summary
     return {"out_dir": str(out_dir), "model": os.path.join(str(out_dir), "multitask", "final"),
             "result": result}
+
+
+def checkpoint_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (offset, byte count) of every array read from a checkpoint payload."""
+    reads: list[tuple[int, int]] = []
+    real = np.fromfile
+
+    def spy(fh, *args, **kwargs):
+        reads.append((fh.tell(), 8 * kwargs["count"]))
+        return real(fh, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromfile", spy)
+    return reads
+
+
+def entries_read(checkpoint: str, reads: list[tuple[int, int]]) -> set[str]:
+    """The manifest entries that ``reads`` covered, each read exactly once and whole."""
+    by_offset = {offset: (name, len(data)) for name, (_, offset, data) in checkpoint_entries(checkpoint).items()}
+    names = [by_offset[offset][0] for offset, nbytes in reads if by_offset.get(offset, (None, -1))[1] == nbytes]
+    assert len(names) == len(reads) == len(set(names)), "a read that is not one whole manifest entry"
+    return set(names)
 
 
 class TestParsingAndHelp:
@@ -296,16 +317,19 @@ class TestTrainCommand:
             b = read_bytes(os.path.join(second, "multitask", "final", fname))
             assert a == b, fname
 
-    def test_warm_start_on_a_corpus_with_more_names(self, tmp_path, corpus_jsonl, small_train_cfg):
+    def test_warm_start_on_a_corpus_with_more_names(self, tmp_path, corpus_jsonl, small_train_cfg, monkeypatch):
         first = str(tmp_path / "first")
         assert run(["train", "--input", corpus_jsonl, "--out-dir", first, "--config", small_train_cfg,
                     "--pretrain-steps", "2", "--max-steps", "0"]).exit_code == 0
         checkpoint = os.path.join(first, "pretrain", "final")
         larger = write_jsonl(make_dataset(n_sources=14), tmp_path / "larger.jsonl")
         second = str(tmp_path / "second")
+        reads = checkpoint_reads(monkeypatch)
         result = run(["train", "--input", larger, "--out-dir", second, "--config", small_train_cfg,
                       "--alm-checkpoint", checkpoint, "--max-steps", "0"])
         assert result.exit_code == 0, result.summary
+        read = entries_read(checkpoint, reads)
+        monkeypatch.undo()
         model = os.path.join(second, "multitask", "final")
         old_names = NameVocabulary.load(os.path.join(checkpoint, "name_vocab.tsv"))
         new_names = NameVocabulary.load(os.path.join(model, "name_vocab.tsv"))
@@ -316,6 +340,7 @@ class TestTrainCommand:
         init_encoder_params(encoder_group, EncoderConfig.toy(), len(token_vocab))
         for name in encoder_group.values:
             assert np.array_equal(final.values[name], saved.values[name]), name
+        assert read == {f"param/{name}" for name in encoder_group.values}  # the encoder group only
         assert final.values["name_emb"].shape[0] == len(new_names)
         assert final.values["out_proj.w"].shape[1] == len(new_names)
         assert final.values["out_proj.b"].shape == (len(new_names),)
@@ -412,6 +437,20 @@ class TestPredictCommand:
         result = run(["predict", "--model", trained_model["model"], "--input", corpus_jsonl, "--out", str(out)])
         assert result.exit_code == 1 and "decoder failed" in result.summary
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["predict", "similarity"])
+    def test_reads_no_optimizer_moments(self, tmp_path, corpus_jsonl, trained_model, monkeypatch, command):
+        model = trained_model["model"]
+        manifest = open(os.path.join(model, "manifest.txt"), encoding="utf-8").read()
+        names = [line.split("\t")[0] for line in manifest.splitlines()]
+        assert any(n.startswith("opt/") for n in names)  # the checkpoint carries moments
+        reads = checkpoint_reads(monkeypatch)
+        args = (["predict", "--out", str(tmp_path / "p.tsv")] if command == "predict"
+                else ["similarity", "--a", "fn000_O0", "--b", "fn000_O2"])
+        result = run([*args, "--model", model, "--input", corpus_jsonl])
+        assert result.exit_code == 0, result.summary
+        assert entries_read(model, reads) == {n for n in names if n.startswith("param/")}
 
 
 class TestSimilarityCommand:

@@ -565,3 +565,32 @@ class TestAlmLosses:
         assert np.abs(grads["mlm.w"]).max() > 0.0
         assert np.abs(grads["pair.cdi.w"]).max() > 0.0
         assert np.abs(grads["tok_emb"]).max() > 0.0
+
+
+def test_backward_memory_does_not_grow_with_the_vocabulary():
+    """Gathers from ``tok_emb`` pass back only the rows they read, so the
+    peak memory of a default-size encode plus backward does not depend on
+    how many tokens the vocabulary holds."""
+    import tracemalloc
+
+    from fnpred.autograd import sum_
+
+    rec = make_record("big", "load_config", "s0", n_instructions=21, salt=3)
+    small = TokenVocab.from_records([rec])
+    padding = [f"tok{i}" for i in range(30_000 - len(small))]
+    large = TokenVocab(small.id_to_token + padding)
+    config = EncoderConfig()
+
+    def peak(vocab: TokenVocab) -> int:
+        store = toy_store(len(vocab), config=config)
+        for _ in range(2):  # the first pass warms lazily built state
+            tracemalloc.start()
+            tape = ParamTape(store, trainable=True)
+            sum_(encode_function(rec, tape, config, vocab).emb).backward()
+            result = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del tape
+        return result
+
+    assert len(small) < 40 and len(large) == 30_000
+    assert peak(large) <= 1.05 * peak(small)

@@ -6,9 +6,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fnpred.autograd as ag
 import fnpred.params as params
+from fnpred.autograd import Tensor
 from fnpred.params import MANIFEST_NAME, PAYLOAD_NAME, ParamStore, ParamTape, load_checkpoint, save_checkpoint
 
 
@@ -73,6 +76,122 @@ class TestParamTape:
         tape = ParamTape(store, trainable=False)
         ag.sum_(tape.get("w")).backward()
         assert tape.grads() == {}
+
+
+def dense_take_rows(a: Tensor, indices) -> Tensor:
+    """The dense gather backward: scatter-add into a zero array of the source's size."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        a._accumulate(ga)
+
+    return Tensor(a.data[idx], parents=(a,), backward=bw)
+
+
+def dense_slice_view(a: Tensor, key) -> Tensor:
+    """The dense slice backward: write into a zero array of the source's size."""
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        a._accumulate(ga)
+
+    return Tensor(a.data[key], parents=(a,), backward=bw)
+
+
+def weights_with_zeros(shape, seed: int) -> np.ndarray:
+    """Random weights in which a third of the entries are -0.0 or +0.0, so
+    the gradients that reach the parameter carry signed zeros."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=shape)
+    zeros = rng.integers(0, 6, size=shape)
+    w[zeros == 0] = -0.0
+    w[zeros == 1] = 0.0
+    return w
+
+
+def sparse_and_dense_grads(ops, rows: int = 6, cols: int = 3) -> tuple[bytes, bytes]:
+    """One loss, sum over ``ops`` of sum(op(P) * W), backpropagated twice: through
+    a ParamTape (compact pairs) and through the dense oracle ops on a plain leaf.
+
+    Each op is ``("rows", indices)``, ``("slice", start, stop)`` or
+    ``("dense",)``, a use of the whole parameter.
+    """
+    store = ParamStore(seed=0)
+    store.embedding("P", (rows, cols))
+    tape = ParamTape(store, trainable=True)
+    oracle = Tensor(store.values["P"].copy(), requires_grad=True)
+    losses = []
+    for leaf, take, view in ((tape.get("P"), ag.take_rows, ag.slice_view),
+                             (oracle, dense_take_rows, dense_slice_view)):
+        total = None
+        for i, op in enumerate(ops):
+            if op[0] == "rows":
+                out = take(leaf, op[1])
+            elif op[0] == "slice":
+                out = view(leaf, slice(op[1], op[2]))
+            else:
+                out = leaf
+            term = ag.sum_(out * weights_with_zeros(out.shape, seed=i))
+            total = term if total is None else total + term
+        losses.append(total)
+    for loss in losses:
+        loss.backward()
+    return tape.grads()["P"].tobytes(), oracle.grad.tobytes()
+
+
+class TestRowSparseGradients:
+    """Gathers and slices of a tape parameter keep compact gradients, and
+    ``grads()`` sums them to the dense path's bits, signed zeros included."""
+
+    @pytest.mark.parametrize("ops", [
+        [("rows", [2, 2, 5, 2])],                               # repeated rows in one call
+        [("rows", [1, 3]), ("rows", [3, 4, 1]), ("rows", [3])],  # overlapping rows across calls
+        [("slice", 1, 4), ("rows", [0, 2, 2])],                 # a slice and a gather of one parameter
+        [("rows", [0, 2, 2]), ("slice", 1, 4)],
+        [("slice", 0, 3)],                                      # a lone slice keeps an incoming -0.0
+        [("slice", 0, 3), ("slice", 2, 5), ("rows", [5])],      # -0.0 turned +0.0 by later zero rows
+        [("rows", [1, -1]), ("dense",), ("slice", 2, 6)],       # a negative index and a dense use
+        [("dense",), ("rows", [0, 0, 0, 0])],                   # a dense -0.0, then a gather
+        [("dense",), ("slice", 0, 2)],                          # a dense -0.0, then a slice
+        [("rows", [])],
+    ])
+    def test_matches_dense_path_bit_for_bit(self, ops):
+        sparse, dense = sparse_and_dense_grads(ops)
+        assert sparse == dense
+
+    def test_signed_zero_cases_are_exercised(self):
+        lone = np.frombuffer(sparse_and_dense_grads([("slice", 0, 3)])[0]).reshape(6, 3)
+        assert np.any(np.signbit(lone) & (lone == 0.0))  # the dense path keeps a -0.0 here
+        mixed = np.frombuffer(sparse_and_dense_grads([("slice", 0, 3), ("slice", 2, 5), ("rows", [5])])[0])
+        assert not np.any(np.signbit(mixed) & (mixed == 0.0))  # ... and turns it +0.0 here
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("rows"), st.lists(st.integers(-6, 5), max_size=7)),
+            st.tuples(st.just("slice"), st.integers(0, 5), st.integers(0, 6)),
+            st.tuples(st.just("dense")),
+        ),
+        min_size=1, max_size=6,
+    ))
+    def test_random_uses_match_dense_path(self, ops):
+        sparse, dense = sparse_and_dense_grads(ops)
+        assert sparse == dense
+
+    def test_no_full_size_array_reaches_the_leaf_during_backward(self):
+        store = ParamStore(seed=0)
+        store.embedding("P", (1000, 4))
+        tape = ParamTape(store, trainable=True)
+        leaf = tape.get("P")
+        ag.sum_(ag.take_rows(leaf, [3, 3, 7]) + ag.slice_view(leaf, slice(10, 13))).backward()
+        assert leaf.grad is None  # only compact pairs so far
+        grad = tape.grads()["P"]
+        assert grad.shape == (1000, 4)
+        assert sorted(set(np.nonzero(grad)[0])) == [3, 7, 10, 11, 12]
+        np.testing.assert_array_equal(grad[3], np.full(4, 2.0))
 
 
 class TestCheckpoint:
@@ -167,6 +286,38 @@ class TestCheckpoint:
         loaded = load_checkpoint(directory)
         assert loaded.step_count == 3
         assert all(loaded.values[n].tobytes() == v.tobytes() for n, v in newer.values.items())
+
+
+class TestSelectiveLoad:
+    """``load_checkpoint(directory, names)`` reads only the entries asked for."""
+
+    def _saved(self, tmp_path) -> str:
+        store = small_store(seed=6)
+        store.opt_state = {"w.m": np.full((4, 3), 0.5), "w.v": np.full((4, 3), 0.25)}
+        store.step_count = 4
+        save_checkpoint(store, str(tmp_path))
+        return str(tmp_path)
+
+    def test_sections_and_single_entries(self, tmp_path):
+        directory = self._saved(tmp_path)
+        full = load_checkpoint(directory)
+        values_only = load_checkpoint(directory, names=("param/",))
+        assert list(values_only.values) == list(full.values)
+        assert all(values_only.values[n].tobytes() == full.values[n].tobytes() for n in full.values)
+        assert values_only.opt_state == {} and values_only.step_count == 0
+        some = load_checkpoint(directory, names={"param/emb", "opt/w.v", "meta/step", "param/absent"})
+        assert list(some.values) == ["emb"] and list(some.opt_state) == ["w.v"]
+        assert some.step_count == 4
+        assert some.opt_state["w.v"].tobytes() == full.opt_state["w.v"].tobytes()
+
+    def test_unselected_entries_still_tile_the_payload(self, tmp_path):
+        directory = self._saved(tmp_path)
+        manifest = tmp_path / MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        lines[-1] = lines[-1].replace("\t1\t", "\t2\t", 1)  # meta/step claims two values
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"manifest line {len(lines)}: 'meta/step' ends at byte \d+, past"):
+            load_checkpoint(directory, names=("param/",))
 
 
 class TestPayloadTiling:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import defuse_chain_record, make_dataset, make_record
+from conftest import checkpoint_entries, defuse_chain_record, make_dataset, make_record
 from fnpred.autograd import sum_
 from fnpred.encoder import EncoderConfig, TokenVocab
 from fnpred.ingest import instruction_tokens, normalize_record
@@ -215,7 +215,81 @@ def hand_adam_update(g: float, t: int, cfg: TrainConfig, m0: float = 0.0, v0: fl
     return cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps), m, v
 
 
+def dense_zero_adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    """Adam as it was before untouched arrays were skipped: every array is
+    updated, a missing gradient is zero and missing moments start at zero."""
+    t = store.step_count + 1
+    for name, value in store.values.items():
+        g = grads.get(name, 0.0)
+        m = store.opt_state.setdefault(f"{name}.m", np.zeros_like(value))
+        v = store.opt_state.setdefault(f"{name}.v", np.zeros_like(value))
+        a, b = np.empty_like(value), np.empty_like(value)
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - cfg.beta1**t, out=a)
+        a *= cfg.lr
+        np.divide(v, 1.0 - cfg.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        a /= b
+        value -= a
+    store.step_count = t
+
+
 class TestAdamStep:
+    def test_untouched_arrays_are_skipped_and_get_no_moments(self):
+        store = ParamStore(seed=0)
+        store.affine("a", (3, 2))
+        store.affine("b", (2, 2))
+        before = snapshot(store)
+        adam_step(store, {"a": np.ones((3, 2))}, TrainConfig())
+        assert sorted(store.opt_state) == ["a.m", "a.v"]
+        assert snapshot(store)["b"] == before["b"]
+        assert snapshot(store)["a"] != before["a"]
+
+    def test_matches_dense_zero_oracle_bit_for_bit(self):
+        # "x" has a gradient at every step, "y" first at step 3 and none at
+        # step 4, "z" never; "w" has moments (as from a checkpoint) but no
+        # gradient.  Values and moments must match the dense-zero oracle's.
+        cfg = TrainConfig(lr=0.05)
+        rng = np.random.default_rng(11)
+        grads_by_step = {
+            1: {"x": rng.normal(size=(3, 2))},
+            2: {"x": rng.normal(size=(3, 2))},
+            3: {"x": rng.normal(size=(3, 2)), "y": rng.normal(size=(4,))},
+            4: {"x": rng.normal(size=(3, 2))},
+            5: {"x": rng.normal(size=(3, 2)), "y": np.array([-0.0, 0.0, 1.0, -2.0])},
+        }
+
+        def fresh() -> ParamStore:
+            store = ParamStore(seed=2)
+            for name, shape in (("x", (3, 2)), ("y", (4,)), ("z", (2, 2)), ("w", (2,))):
+                store.affine(name, shape)
+            store.values["z"][0, 0] = -0.0
+            store.opt_state = {"w.m": np.array([0.1, -0.2]), "w.v": np.array([0.3, 0.4])}
+            return store
+
+        new, oracle = fresh(), fresh()
+        for step, grads in grads_by_step.items():
+            y_before = new.values["y"].copy()
+            adam_step(new, grads, cfg)
+            dense_zero_adam_step(oracle, grads, cfg)
+            assert snapshot(new) == snapshot(oracle), step
+            for key, moment in new.opt_state.items():
+                assert moment.tobytes() == oracle.opt_state[key].tobytes(), (step, key)
+            extra = set(oracle.opt_state) - set(new.opt_state)
+            assert all(not oracle.opt_state[key].any() for key in extra)
+            assert ("y.m" in new.opt_state) == (step >= 3)
+            if step == 4:  # moments but no gradient: still updated
+                assert new.values["y"].tobytes() != y_before.tobytes()
+        assert sorted(new.opt_state) == ["w.m", "w.v", "x.m", "x.v", "y.m", "y.v"]
+        assert new.values["w"].tobytes() != fresh().values["w"].tobytes()
+
     def test_zero_gradients_leave_values_unchanged(self):
         store = ParamStore(seed=0)
         store.affine("w", (3, 4))
@@ -453,6 +527,23 @@ class TestPretrainAlm:
             assert joined == res_a.task_losses[task]
         assert res_a.trained_record_ids == (res_b1.trained_record_ids | res_b2.trained_record_ids)
 
+    def test_resume_from_checkpoint_at_every_step_matches_bit_for_bit(self, tmp_path):
+        records, vocab, _ = pretrain_setup()
+        cfg = TrainConfig(batch_size=2, seed=9)
+        n = 5
+        pretrain_alm(records, [], build_stores(TOY, len(vocab), 10, seed=5), TOY, vocab, cfg,
+                     str(tmp_path / "whole"), max_steps=n)
+        expected = checkpoint_entries(str(tmp_path / "whole" / "final"))
+        assert "opt/tok_emb.m" in expected
+        assert not any(name.startswith(("opt/out_proj", "opt/dec0.", "opt/sim.")) for name in expected)
+        for k in range(1, n):
+            first, second = str(tmp_path / f"{k}a"), str(tmp_path / f"{k}b")
+            pretrain_alm(records, [], build_stores(TOY, len(vocab), 10, seed=5), TOY, vocab, cfg,
+                         first, max_steps=k)
+            resumed = load_checkpoint(os.path.join(first, "final"))
+            pretrain_alm(records, [], resumed, TOY, vocab, cfg, second, max_steps=n)
+            assert checkpoint_entries(os.path.join(second, "final")) == expected, k
+
     def test_fixed_batch_losses_decrease(self, tmp_path):
         records, vocab, store = pretrain_setup()
         chain = records[-1]
@@ -542,6 +633,24 @@ class TestTrainMultitask:
         with pytest.raises(ValueError, match="at least one loss weight"):
             train_multitask(train, labels, [], [], store, TOY, vocab, name_vocab,
                             cfg, str(tmp_path / "ck"), max_steps=1)
+
+    def test_resume_from_checkpoint_at_every_step_matches_bit_for_bit(self, tmp_path):
+        train, labels, vocab, name_vocab, store = finetune_setup()
+        cfg = TrainConfig(batch_size=1, seed=4)
+        n = 4
+        train_multitask(train, labels, [], [], store, TOY, vocab, name_vocab, cfg,
+                        str(tmp_path / "whole"), max_steps=n)
+        expected = checkpoint_entries(str(tmp_path / "whole" / "final"))
+        assert "opt/out_proj.w.m" in expected and "opt/sim.w1.m" in expected
+        assert not any(name.startswith(("opt/mlm.", "opt/pair.", "opt/span_pos")) for name in expected)
+        for k in range(1, n):
+            first, second = str(tmp_path / f"{k}a"), str(tmp_path / f"{k}b")
+            train_multitask(train, labels, [], [], finetune_setup()[-1], TOY, vocab, name_vocab, cfg,
+                            first, max_steps=k)
+            resumed = load_checkpoint(os.path.join(first, "final"))
+            train_multitask(train, labels, [], [], resumed, TOY, vocab, name_vocab, cfg,
+                            second, max_steps=n)
+            assert checkpoint_entries(os.path.join(second, "final")) == expected, k
 
     def test_lambda2_zero_touches_no_similarity_params(self, tmp_path):
         train, labels, vocab, name_vocab, store = finetune_setup()
