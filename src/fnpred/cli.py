@@ -259,8 +259,7 @@ def _cmd_train(ns) -> tuple[str, list[str]]:
         )
         for d in pre.checkpoint_dirs.values():
             artifacts.extend(_write_model_extras(d, token_vocab, name_vocab, enc_config, cfg))
-        store.opt_state.clear()
-        store.step_count = 0
+        store.reset_run()
 
     result = train_multitask(
         train_records, train_labels, valid_records, valid_labels, store,

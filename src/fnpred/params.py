@@ -3,9 +3,11 @@
 A checkpoint is a directory holding ``manifest.txt`` (one line per array:
 name, comma-joined shape, dtype, byte offset) and ``params.bin`` (the
 concatenated little-endian float64 payload).  Saving and loading round-trips
-bit-exactly, including optimizer moments and the step counter, so training
+bit-exactly, including optimizer moments and the run state, so training
 can resume with an identical trajectory.  An array that no optimizer step
-has reached has no moments, so its ``opt/`` entries are absent.
+has reached has no moments, so its ``opt/`` entries are absent.  The run
+state is ``meta/step`` and, once an evaluation has run, ``meta/best_step``
+and ``meta/best_score``; a run without validation writes ``meta/step`` alone.
 """
 
 from __future__ import annotations
@@ -20,16 +22,20 @@ from .autograd import Tensor
 
 MANIFEST_NAME = "manifest.txt"
 PAYLOAD_NAME = "params.bin"
+# The only meta/ entries: manifest name -> (ParamStore attribute, type).
+_META = {"meta/step": ("step_count", int), "meta/best_step": ("best_step", int), "meta/best_score": ("best_score", float)}
 _TMP_SUFFIX = ".tmp"  # a checkpoint file being written
 
 
 class ParamStore:
-    """All trainable state: values, optimizer moments and the step counter."""
+    """All trainable state: values, optimizer moments and the run state (step count, best evaluation)."""
 
     def __init__(self, seed: int = 0):
         self.values: dict[str, np.ndarray] = {}
         self.opt_state: dict[str, np.ndarray] = {}
         self.step_count: int = 0
+        self.best_step: Optional[int] = None
+        self.best_score: Optional[float] = None
         self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
 
@@ -55,6 +61,12 @@ class ParamStore:
 
     def ones(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.ones(shape))
+
+    def reset_run(self) -> None:
+        """Start a new run on these values: no moments, no steps, no best evaluation."""
+        self.opt_state.clear()
+        self.step_count = 0
+        self.best_step = self.best_score = None
 
 
 def _has_negative_zero(x: np.ndarray) -> bool:
@@ -176,9 +188,9 @@ def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
     complete are they renamed over ``params.bin`` and then ``manifest.txt``,
     so a failure while writing leaves the previous checkpoint as it was and
     removes the temporary files.  Between the two renames the directory
-    holds the new payload with the old manifest.  When the array layout is
-    unchanged, as for every save of one training run, the two manifests are
-    the same text, so that state is already the new checkpoint.  The files
+    holds the new payload with the old manifest: the new checkpoint when the
+    layout is unchanged, else rejected on load, as a run's later saves only
+    add entries and the old manifest no longer tiles the payload.  The files
     are not fsynced: this guards against a crashed process, not against a
     lost disk write.
     """
@@ -188,7 +200,8 @@ def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
     manifest_tmp, payload_tmp = manifest_path + _TMP_SUFFIX, payload_path + _TMP_SUFFIX
     arrays = [(f"param/{name}", value) for name, value in store.values.items()]
     arrays += [(f"opt/{name}", store.opt_state[name]) for name in sorted(store.opt_state)]
-    arrays.append(("meta/step", np.array([float(store.step_count)])))
+    meta = [(name, getattr(store, attr)) for name, (attr, _) in _META.items()]
+    arrays += [(name, np.array([float(value)])) for name, value in meta if value is not None]
     lines = []
     try:
         with open(payload_tmp, "wb") as fh:
@@ -212,7 +225,7 @@ def save_checkpoint(store: ParamStore, directory: str) -> list[str]:
 
 
 def load_checkpoint(directory: str, names: Optional[Collection[str]] = None) -> ParamStore:
-    """Reconstruct a ParamStore (values, moments, step counter) bit-exactly.
+    """Reconstruct a ParamStore (values, moments, run state) bit-exactly.
 
     ``names`` selects the manifest entries to read: full entry names such as
     ``"param/tok_emb"``, or whole sections such as ``"param/"``.  With None
@@ -238,7 +251,7 @@ def load_checkpoint(directory: str, names: Optional[Collection[str]] = None) -> 
             name, shape_text, dtype, offset_text = parts
             if dtype != "float64":
                 raise ValueError(f"manifest line {line_no}: unsupported dtype {dtype!r}")
-            if not (name.startswith(("param/", "opt/")) or name == "meta/step"):
+            if not (name.startswith(("param/", "opt/")) or name in _META):
                 raise ValueError(f"manifest line {line_no}: unknown section for {name!r}")
             shape = tuple(int(s) for s in shape_text.split(",") if s)
             if any(d < 0 for d in shape):
@@ -270,5 +283,6 @@ def load_checkpoint(directory: str, names: Optional[Collection[str]] = None) -> 
             elif section == "opt/":
                 store.opt_state[name[len("opt/"):]] = arr
             else:
-                store.step_count = int(arr[0])
+                attr, kind = _META[name]
+                setattr(store, attr, kind(arr[0]))
     return store

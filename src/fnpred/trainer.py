@@ -1,10 +1,11 @@
-"""Optimization loops, Adam, configuration files, and the gradient-check harness.
+"""The training loop, Adam, configuration files, and the gradient-check harness.
 
-Pretraining alternates strict round-robin over the three language-model
-tasks; fine-tuning computes the joint name-generation + similarity loss on
-triplet batches with early stopping on validation F1.  Every random draw
-comes from a generator seeded by (seed, step), so runs are bit-reproducible
-and resumable from checkpoints.
+Every optimizer step runs through ``train_step``, and both stages through
+one run loop that owns the (seed, step) generators, evaluation, the
+``best/`` and ``final/`` checkpoints and early stopping.  Pretraining is
+round-robin over the three language-model tasks; fine-tuning is the joint
+name-generation + similarity loss on triplet batches.  The run state is
+saved with each checkpoint, so a resumed run retraces an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -136,20 +138,9 @@ def _read_config(cls, path: str):
         raise ValueError(f"config line {line}: {exc}" if line else str(exc)) from None
 
 
-def save_train_config(cfg: TrainConfig, path: str) -> None:
-    _write_config(cfg, path)
-
-
-def load_train_config(path: str) -> TrainConfig:
-    return _read_config(TrainConfig, path)
-
-
-def save_encoder_config(cfg: EncoderConfig, path: str) -> None:
-    _write_config(cfg, path)
-
-
-def load_encoder_config(path: str) -> EncoderConfig:
-    return _read_config(EncoderConfig, path)
+save_train_config = save_encoder_config = _write_config
+load_train_config = partial(_read_config, TrainConfig)
+load_encoder_config = partial(_read_config, EncoderConfig)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -201,6 +192,15 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], cfg: TrainConfig)
         a /= b
         value -= a
     store.step_count = t
+
+
+def train_step(store: ParamStore, cfg: TrainConfig, build_loss: Callable[[ParamTape], Tensor]) -> float:
+    """One optimizer step: ``build_loss`` on a fresh tape, backward, ``adam_step``; returns the loss."""
+    tape = ParamTape(store, trainable=True)
+    loss = build_loss(tape)
+    loss.backward()
+    adam_step(store, tape.grads(), cfg)
+    return loss.item()
 
 
 # -- gradient checking -----------------------------------------------------------
@@ -375,7 +375,51 @@ def gradcheck_paths(seed: int = 0) -> tuple[ParamStore, dict[str, Callable[[Para
     return store, paths
 
 
-# -- pretraining loop ---------------------------------------------------------
+# -- the run loop ---------------------------------------------------------------
+
+def _run(
+    store: ParamStore, cfg: TrainConfig, checkpoint_dir: str, max_steps: Optional[int],
+    step_loss: Callable[[ParamTape, np.random.Generator, int], Tensor],
+    evaluate: Optional[Callable[[], float]], patience: Optional[int],
+) -> tuple[list[tuple[int, float]], bool, dict[str, str]]:
+    """Train ``store`` from ``store.step_count`` up to step ``max_steps`` (default ``cfg.max_steps``).
+
+    ``step_loss(tape, rng, step)`` builds the loss of step ``step`` (from 1;
+    ``rng`` is seeded by ``(cfg.seed, step - 1)``).  Every ``eval_every``
+    steps, ``evaluate()`` returns a score to maximise; a new best goes into
+    ``store.best_step``/``best_score`` and ``best/``.  With a ``patience``,
+    the run stops after that many evaluations in a row without a new best,
+    counted from the store as ``(step - best_step) // eval_every``, so a
+    resumed run stops where an uninterrupted one would.  Returns this call's
+    ``(step, score)`` pairs, whether the run has stopped, and the saved dirs.
+    """
+    scores: list[tuple[int, float]] = []
+    dirs: dict[str, str] = {}
+
+    def stopped() -> bool:
+        return (
+            evaluate is not None and patience is not None and store.best_step is not None
+            and (store.step_count - store.best_step) // cfg.eval_every >= patience
+        )
+
+    total_steps = cfg.max_steps if max_steps is None else max_steps
+    while not stopped() and store.step_count < total_steps:
+        step = store.step_count + 1
+        rng = np.random.default_rng((cfg.seed, step - 1))
+        train_step(store, cfg, lambda tape: step_loss(tape, rng, step))
+        if evaluate is not None and step % cfg.eval_every == 0:
+            score = evaluate()
+            scores.append((step, score))
+            if store.best_score is None or score > store.best_score:
+                store.best_step, store.best_score = step, score
+                dirs["best"] = os.path.join(checkpoint_dir, "best")
+                save_checkpoint(store, dirs["best"])
+    dirs["final"] = os.path.join(checkpoint_dir, "final")
+    save_checkpoint(store, dirs["final"])
+    return scores, stopped(), dirs
+
+
+# -- pretraining ------------------------------------------------------------------
 
 @dataclass
 class PretrainResult:
@@ -413,12 +457,6 @@ def _draw_pretrain_batch(
     return samples, used
 
 
-def _check_task_streams(records: Sequence[FunctionRecord], cfg: TrainConfig) -> None:
-    for task in PRETRAIN_TASKS:
-        if not any(_task_samples(r, task, 0, cfg) for r in records):
-            raise ValueError(f"no samples available for pretraining task {task!r}")
-
-
 def pretrain_alm(
     train_records: Sequence[FunctionRecord],
     valid_records: Sequence[FunctionRecord],
@@ -428,66 +466,52 @@ def pretrain_alm(
     cfg: TrainConfig,
     checkpoint_dir: str,
     max_steps: Optional[int] = None,
-    fixed_batches: Optional[dict[str, list]] = None,
 ) -> PretrainResult:
     """Round-robin pretraining over infill/CDI/DUI with best-valid checkpoints.
 
-    Training resumes from ``store.step_count``, and per-step generators are
-    seeded by (seed, step), so a resumed run retraces an uninterrupted one.
+    Resumes from the store's run state (step count; best summed validation
+    loss, as ``-store.best_score``, and its step) with per-step generators
+    seeded by (seed, step), so a resumed run retraces an uninterrupted one,
+    ``best/`` included.  Never stops early; the result lists this call's steps.
     """
-    if not train_records and fixed_batches is None:
+    if not train_records:
         raise ValueError("no training records")
-    if fixed_batches is None:
-        _check_task_streams(train_records, cfg)
-    total_steps = cfg.max_steps if max_steps is None else max_steps
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    result = PretrainResult(
-        task_losses={t: [] for t in PRETRAIN_TASKS},
-        valid_losses=[],
-        best_step=None,
-        best_valid_loss=None,
-        checkpoint_dirs={},
-    )
+    for task in PRETRAIN_TASKS:  # fail before the first step, not at the first step of a missing task
+        if not any(_task_samples(r, task, 0, cfg) for r in train_records):
+            raise ValueError(f"no samples available for pretraining task {task!r}")
+    task_losses: dict[str, list[tuple[int, float]]] = {t: [] for t in PRETRAIN_TASKS}
+    trained: set[str] = set()
     valid_batches: dict[str, list] = {}
     if valid_records:
         valid_rng = np.random.default_rng((cfg.seed, _VALID_STREAM))
         for task in PRETRAIN_TASKS:
             try:
-                batch, _ = _draw_pretrain_batch(task, valid_records, valid_rng, cfg)
-                valid_batches[task] = batch
+                valid_batches[task], _ = _draw_pretrain_batch(task, valid_records, valid_rng, cfg)
             except ValueError:
                 continue
 
-    step = store.step_count
-    while step < total_steps:
-        task = PRETRAIN_TASKS[step % len(PRETRAIN_TASKS)]
-        rng = np.random.default_rng((cfg.seed, step))
-        if fixed_batches is not None:
-            batch = fixed_batches[task]
-        else:
-            batch, used = _draw_pretrain_batch(task, train_records, rng, cfg)
-            result.trained_record_ids |= used
-        tape = ParamTape(store, trainable=True)
+    # Held until the next draw, as a loop variable would be: freed once the
+    # loss is built, the samples die before the collector promotes them, and
+    # its full collections move from training to the next allocation-heavy caller.
+    batch: list = []
+
+    def step_loss(tape: ParamTape, rng: np.random.Generator, step: int) -> Tensor:
+        nonlocal batch
+        task = PRETRAIN_TASKS[(step - 1) % len(PRETRAIN_TASKS)]
+        batch, used = _draw_pretrain_batch(task, train_records, rng, cfg)
+        trained.update(used)
         loss = alm_losses(batch, tape, enc_config, vocab, training=True, rng=rng)
-        loss.backward()
-        adam_step(store, tape.grads(), cfg)
-        step = store.step_count
-        result.task_losses[task].append((step, loss.item()))
-        if valid_batches and step % cfg.eval_every == 0:
-            total = 0.0
-            for task_name, batch in sorted(valid_batches.items()):
-                total += alm_losses(batch, store, enc_config, vocab).item()
-            result.valid_losses.append((step, total))
-            if result.best_valid_loss is None or total < result.best_valid_loss:
-                result.best_valid_loss = total
-                result.best_step = step
-                best_dir = os.path.join(checkpoint_dir, "best")
-                save_checkpoint(store, best_dir)
-                result.checkpoint_dirs["best"] = best_dir
-    final_dir = os.path.join(checkpoint_dir, "final")
-    save_checkpoint(store, final_dir)
-    result.checkpoint_dirs["final"] = final_dir
-    return result
+        task_losses[task].append((step, loss.item()))
+        return loss
+
+    def neg_valid_loss() -> float:
+        return -sum(alm_losses(valid_batches[t], store, enc_config, vocab).item() for t in sorted(valid_batches))
+
+    scores, _, dirs = _run(store, cfg, checkpoint_dir, max_steps, step_loss,
+                           neg_valid_loss if valid_batches else None, patience=None)
+    best_loss = None if store.best_score is None else -store.best_score
+    valid_losses = [(step, -score) for step, score in scores]
+    return PretrainResult(task_losses, valid_losses, store.best_step, best_loss, dirs, trained)
 
 
 # -- multi-task fine-tuning -----------------------------------------------------
@@ -606,84 +630,49 @@ def train_multitask(
     checkpoint_dir: str,
     max_steps: Optional[int] = None,
 ) -> TrainResult:
-    """Joint J = lambda1*J_cg + lambda2*J_cs training with early stopping."""
+    """Joint J = lambda1*J_cg + lambda2*J_cs training, early-stopped on validation F1.
+
+    Resumes from the store's run state as ``pretrain_alm`` does, early stopping included."""
     if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
         raise ValueError("at least one loss weight must be positive")
     _guard_against_leakage(train_records, train_labels, valid_records, name_vocab)
-    total_steps = cfg.max_steps if max_steps is None else max_steps
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    result = TrainResult(
-        history=[], valid_f1=[], best_f1=None, best_step=None,
-        stopped_early=False, checkpoint_dirs={},
-    )
-    stale_evals = 0
-    step = store.step_count
-    while step < total_steps:
-        rng = np.random.default_rng((cfg.seed, step))
-        tape = ParamTape(store, trainable=True)
+    history: list[dict] = []
+    trained: set[str] = set()
+
+    def step_loss(tape: ParamTape, rng: np.random.Generator, step: int) -> Tensor:
+        def encode(idx: int) -> Tensor:
+            return encode_function(train_records[idx], tape, enc_config, token_vocab, training=True, rng=rng).emb
+
         jcg_sum: Optional[Tensor] = None
         jcs_sum: Optional[Tensor] = None
         for _ in range(cfg.batch_size):
             trip = sample_triplet(train_records, train_labels, rng)
-            for idx in (trip.anchor, trip.positive, trip.negative):
-                result.trained_record_ids.add(train_records[idx].id)
+            trained.update(train_records[i].id for i in (trip.anchor, trip.positive, trip.negative))
             if cfg.lambda1 > 0.0:
-                enc_anchor = encode_function(
-                    train_records[trip.anchor], tape, enc_config, token_vocab,
-                    training=True, rng=rng,
-                )
                 gold = name_vocab.encode(train_labels[trip.anchor])
-                jcg = name_loss(enc_anchor.emb, gold, tape, enc_config, training=True, rng=rng)
+                jcg = name_loss(encode(trip.anchor), gold, tape, enc_config, training=True, rng=rng)
                 jcg_sum = jcg if jcg_sum is None else jcg_sum + jcg
             if cfg.lambda2 > 0.0:
-                embs = {
-                    k: encode_function(
-                        train_records[i], tape, enc_config, token_vocab,
-                        training=True, rng=rng,
-                    ).emb
-                    for k, i in (("a", trip.anchor), ("p", trip.positive), ("n", trip.negative))
-                }
-                f_pos = score_tensor(similarity_h_tensor(embs["a"]), similarity_h_tensor(embs["p"]), tape)
-                f_neg = score_tensor(similarity_h_tensor(embs["a"]), similarity_h_tensor(embs["n"]), tape)
+                a, p, n = (encode(i) for i in (trip.anchor, trip.positive, trip.negative))
+                f_pos = score_tensor(similarity_h_tensor(a), similarity_h_tensor(p), tape)
+                f_neg = score_tensor(similarity_h_tensor(a), similarity_h_tensor(n), tape)
                 jcs = ranking_loss(f_pos, f_neg, cfg.m_cs, cfg.jcs_variant)
                 jcs_sum = jcs if jcs_sum is None else jcs_sum + jcs
         scale = 1.0 / cfg.batch_size
         jcg_term = jcg_sum * scale if jcg_sum is not None else 0.0
         jcs_term = jcs_sum * scale if jcs_sum is not None else 0.0
         loss = joint_loss(jcg_term, jcs_term, cfg.lambda1, cfg.lambda2)
-        loss.backward()
-        adam_step(store, tape.grads(), cfg)
-        step = store.step_count
-        result.history.append(
-            {
-                "step": step,
-                "loss": loss.item(),
-                "j_cg": jcg_term.item() if isinstance(jcg_term, Tensor) else 0.0,
-                "j_cs": jcs_term.item() if isinstance(jcs_term, Tensor) else 0.0,
-            }
-        )
-        if valid_records and step % cfg.eval_every == 0:
-            f1 = validation_f1(
-                valid_records, valid_labels, store, enc_config, token_vocab,
-                name_vocab, cfg.max_name_len,
-            )
-            result.valid_f1.append((step, f1))
-            if result.best_f1 is None or f1 > result.best_f1:
-                result.best_f1 = f1
-                result.best_step = step
-                stale_evals = 0
-                best_dir = os.path.join(checkpoint_dir, "best")
-                save_checkpoint(store, best_dir)
-                result.checkpoint_dirs["best"] = best_dir
-            else:
-                stale_evals += 1
-                if stale_evals >= cfg.patience:
-                    result.stopped_early = True
-                    break
-    final_dir = os.path.join(checkpoint_dir, "final")
-    save_checkpoint(store, final_dir)
-    result.checkpoint_dirs["final"] = final_dir
-    return result
+        history.append({
+            "step": step, "loss": loss.item(),
+            "j_cg": jcg_term.item() if isinstance(jcg_term, Tensor) else 0.0,
+            "j_cs": jcs_term.item() if isinstance(jcs_term, Tensor) else 0.0,
+        })
+        return loss
+
+    evaluate = partial(validation_f1, valid_records, valid_labels, store, enc_config, token_vocab,
+                       name_vocab, cfg.max_name_len) if valid_records else None
+    scores, stopped, dirs = _run(store, cfg, checkpoint_dir, max_steps, step_loss, evaluate, cfg.patience)
+    return TrainResult(history, scores, store.best_score, store.best_step, stopped, dirs, trained)
 
 
 def overfit_name_decoder(
@@ -697,19 +686,16 @@ def overfit_name_decoder(
     steps: int,
 ) -> list[float]:
     """Drive J_cg down on one frozen batch; returns the per-step mean losses."""
-    losses = []
-    for _ in range(steps):
-        tape = ParamTape(store, trainable=True)
+
+    def mean_jcg(tape: ParamTape) -> Tensor:
         total: Optional[Tensor] = None
         for rec, gold in zip(records, labels):
             enc = encode_function(rec, tape, enc_config, token_vocab)
             jcg = name_loss(enc.emb, name_vocab.encode(gold), tape, enc_config)
             total = jcg if total is None else total + jcg
-        loss = total * (1.0 / len(records))
-        loss.backward()
-        adam_step(store, tape.grads(), cfg)
-        losses.append(loss.item())
-    return losses
+        return total * (1.0 / len(records))
+
+    return [train_step(store, cfg, mean_jcg) for _ in range(steps)]
 
 
 def build_stores(

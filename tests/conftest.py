@@ -152,6 +152,12 @@ def checkpoint_entries(directory) -> dict[str, tuple[str, int, bytes]]:
     return entries
 
 
+def checkpoint_meta(directory) -> dict[str, float]:
+    """The value of each ``meta/`` entry of a checkpoint."""
+    return {name: float(np.frombuffer(data)[0]) for name, (_, _, data) in checkpoint_entries(directory).items()
+            if name.startswith("meta/")}
+
+
 def roundtrip_jsonl(records, path):
     write_jsonl(records, path)
     return parse_function_records(str(path))

@@ -18,7 +18,7 @@ passes ``multitask/final`` through ``load_checkpoint`` and ``save_checkpoint``
 into ``roundtrip/``, so the checkpoint reader and writer are covered too.  It
 prints one ``sha256  name`` line per output file and, for every checkpoint,
 one ``sha256  <dir>/<entry>`` line per manifest entry (``param/...``,
-``opt/...``, ``meta/step``), sorted by name, then one line for the output of
+``opt/...``, ``meta/...``), sorted by name, then one line for the output of
 ``fnpred gradcheck`` at its defaults.  An entry's digest covers its shape
 and its bytes but not its offset, so an entry keeps its line when entries
 before it are added or dropped.  A failed command exits 1.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fnpred
-from conftest import checkpoint_entries, defuse_chain_record, make_dataset, write_jsonl
+from conftest import checkpoint_entries, checkpoint_meta, defuse_chain_record, make_dataset, write_jsonl
 from fnpred import trainer
 from fnpred.cli import run
 from fnpred.encoder import EncoderConfig, TokenVocab, init_encoder_params
@@ -299,6 +299,31 @@ class TestTrainCommand:
                       "--config", str(cfg)])
         assert result.exit_code == 1
         assert "unknown key" in result.summary
+
+    def test_fine_tuning_keeps_its_own_best_evaluation(self, tmp_path, corpus_jsonl):
+        # Both stages evaluate after every step.  Fine-tuning starts from a
+        # reset run state, so its best is an F1 at a fine-tuning step, never
+        # pretraining's negated validation loss.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch_size=1\nmax_steps=3\nlr=0.001\nseed=3\neval_every=1\n")
+        base = ["train", "--input", corpus_jsonl, "--config", str(cfg), "--pretrain-steps", "4"]
+        out = tmp_path / "run"
+        result = run([*base, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.summary
+        assert checkpoint_meta(out / "pretrain" / "best")["meta/best_score"] < 0.0
+        best = checkpoint_meta(out / "multitask" / "best")
+        assert best["meta/best_step"] in (1.0, 2.0, 3.0)
+        assert 0.0 <= best["meta/best_score"] <= 1.0
+        final = checkpoint_meta(out / "multitask" / "final")
+        assert final == {**best, "meta/step": 3.0}
+        assert f"best valid F1 {best['meta/best_score']:.4f}" in result.summary
+        # With no fine-tuning step, nothing of pretraining's best is carried over.
+        out = tmp_path / "no-steps"
+        result = run([*base, "--out-dir", str(out), "--max-steps", "0"])
+        assert result.exit_code == 0, result.summary
+        assert checkpoint_meta(out / "multitask" / "final") == {"meta/step": 0.0}
+        assert not os.path.exists(out / "multitask" / "best")
+        assert "best valid F1 n/a" in result.summary
 
     def test_warm_start_from_own_pretraining_matches_one_run(self, tmp_path, corpus_jsonl):
         # Pretraining never moves the task group, so a warm start from the

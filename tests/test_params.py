@@ -288,6 +288,83 @@ class TestCheckpoint:
         assert all(loaded.values[n].tobytes() == v.tobytes() for n, v in newer.values.items())
 
 
+class TestRunState:
+    """The run state's ``meta/`` entries: the best evaluation is written once
+    one has run, and only the three known names are read."""
+
+    def _store_with_best(self) -> ParamStore:
+        store = small_store(seed=5)
+        store.step_count, store.best_step, store.best_score = 9, 6, -1.0 / 3.0
+        return store
+
+    def _meta_lines(self, directory) -> list[str]:
+        lines = (directory / MANIFEST_NAME).read_text().splitlines()
+        return [line.split("\t")[0] for line in lines if line.startswith("meta/")]
+
+    def test_best_evaluation_round_trips_after_meta_step(self, tmp_path):
+        save_checkpoint(self._store_with_best(), str(tmp_path))
+        assert self._meta_lines(tmp_path) == ["meta/step", "meta/best_step", "meta/best_score"]
+        loaded = load_checkpoint(str(tmp_path))
+        assert (loaded.step_count, loaded.best_step) == (9, 6)
+        assert np.float64(loaded.best_score).tobytes() == np.float64(-1.0 / 3.0).tobytes()
+
+    def test_no_evaluation_writes_meta_step_alone(self, tmp_path):
+        store = small_store(seed=5)
+        store.step_count = 9
+        save_checkpoint(store, str(tmp_path))
+        assert self._meta_lines(tmp_path) == ["meta/step"]
+        loaded = load_checkpoint(str(tmp_path))
+        assert loaded.best_step is None and loaded.best_score is None
+
+    def test_hand_written_entries_accepted_by_exact_name(self, tmp_path):
+        store = small_store(seed=5)
+        store.step_count = 9
+        save_checkpoint(store, str(tmp_path))
+        payload, manifest = tmp_path / PAYLOAD_NAME, tmp_path / MANIFEST_NAME
+        end = payload.stat().st_size
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(f"meta/best_score\t1\tfloat64\t{end}\nmeta/best_step\t1\tfloat64\t{end + 8}\n")
+        with open(payload, "ab") as fh:
+            fh.write(np.array([0.75, 4.0], dtype="<f8").tobytes())
+        loaded = load_checkpoint(str(tmp_path))
+        assert (loaded.step_count, loaded.best_step, loaded.best_score) == (9, 4, 0.75)
+
+    @pytest.mark.parametrize("name", ["meta/stale_evals", "meta/best", "meta/best_steps", "meta/Best_step", "meta/"])
+    def test_other_meta_names_rejected(self, tmp_path, name):
+        save_checkpoint(self._store_with_best(), str(tmp_path))
+        manifest = tmp_path / MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        line_no = next(i for i, line in enumerate(lines, start=1) if line.startswith("meta/best_step\t"))
+        lines[line_no - 1] = lines[line_no - 1].replace("meta/best_step", name, 1)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"manifest line {line_no}: unknown section for '{name}'"):
+            load_checkpoint(str(tmp_path))
+        with pytest.raises(ValueError, match="unknown section"):
+            load_checkpoint(str(tmp_path), names=("param/",))
+
+    def test_param_section_reads_no_meta_entry(self, tmp_path, monkeypatch):
+        save_checkpoint(self._store_with_best(), str(tmp_path))
+        real, reads = np.fromfile, []
+
+        def spy(fh, *args, **kwargs):
+            reads.append(fh.tell())
+            return real(fh, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        loaded = load_checkpoint(str(tmp_path), names=("param/",))
+        monkeypatch.undo()
+        assert len(reads) == len(small_store().values)
+        assert (loaded.step_count, loaded.best_step, loaded.best_score) == (0, None, None)
+
+    def test_reset_run_clears_moments_step_and_best(self):
+        store = self._store_with_best()
+        store.opt_state["w.m"] = np.ones((4, 3))
+        values = {name: value.tobytes() for name, value in store.values.items()}
+        store.reset_run()
+        assert (store.opt_state, store.step_count, store.best_step, store.best_score) == ({}, 0, None, None)
+        assert {name: value.tobytes() for name, value in store.values.items()} == values
+
+
 class TestSelectiveLoad:
     """``load_checkpoint(directory, names)`` reads only the entries asked for."""
 

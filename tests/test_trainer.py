@@ -8,9 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import checkpoint_entries, defuse_chain_record, make_dataset, make_record
+from conftest import checkpoint_entries, checkpoint_meta, defuse_chain_record, make_dataset, make_record
 from fnpred.autograd import sum_
-from fnpred.encoder import EncoderConfig, TokenVocab
+from fnpred.encoder import EncoderConfig, TokenVocab, alm_losses
 from fnpred.ingest import instruction_tokens, normalize_record
 from fnpred.params import ParamStore, ParamTape, load_checkpoint
 from fnpred.pretrain import cdi_pairs, dui_pairs, text_infilling
@@ -30,6 +30,7 @@ from fnpred.trainer import (
     save_train_config,
     similarity_gap,
     train_multitask,
+    train_step,
 )
 
 TOY = EncoderConfig.toy()
@@ -474,6 +475,13 @@ def pretrain_records():
     return recs
 
 
+def pretrain_valid():
+    return [
+        defuse_chain_record(6, rec_id="v0", source_id="vs0"),
+        make_record(rec_id="v1", name="spare_fn", source_id="vs1", salt=3),
+    ]
+
+
 def pretrain_setup(seed: int = 5):
     records = pretrain_records()
     vocab = vocab_for(records)
@@ -544,7 +552,9 @@ class TestPretrainAlm:
             pretrain_alm(records, [], resumed, TOY, vocab, cfg, second, max_steps=n)
             assert checkpoint_entries(os.path.join(second, "final")) == expected, k
 
-    def test_fixed_batch_losses_decrease(self, tmp_path):
+    def test_fixed_batch_losses_decrease(self):
+        # The round-robin schedule on three frozen batches, driven through
+        # the step primitive: every task's loss falls.
         records, vocab, store = pretrain_setup()
         chain = records[-1]
         fixed = {
@@ -553,22 +563,23 @@ class TestPretrainAlm:
             "dui": dui_pairs(chain, negatives_per_positive=1, rng_seed=0)[:2],
         }
         cfg = TrainConfig(batch_size=2, seed=1, lr=0.02)
-        result = pretrain_alm([], [], store, TOY, vocab, cfg,
-                              str(tmp_path / "ck"), max_steps=30, fixed_batches=fixed)
+        task_losses = {task: [] for task in PRETRAIN_TASKS}
+        for step in range(30):
+            task = PRETRAIN_TASKS[step % len(PRETRAIN_TASKS)]
+            rng = np.random.default_rng((cfg.seed, step))
+            task_losses[task].append(train_step(
+                store, cfg, lambda tape: alm_losses(fixed[task], tape, TOY, vocab, training=True, rng=rng)))
         for task in PRETRAIN_TASKS:
-            losses = [loss for _, loss in result.task_losses[task]]
+            losses = task_losses[task]
             assert len(losses) == 10
             assert losses[-1] < losses[0]
-        total_first = sum(result.task_losses[t][0][1] for t in PRETRAIN_TASKS)
-        total_last = sum(result.task_losses[t][-1][1] for t in PRETRAIN_TASKS)
+        total_first = sum(task_losses[t][0] for t in PRETRAIN_TASKS)
+        total_last = sum(task_losses[t][-1] for t in PRETRAIN_TASKS)
         assert total_last < 0.75 * total_first
 
     def test_checkpoints_validation_and_id_hygiene(self, tmp_path):
         records, vocab, store = pretrain_setup()
-        valid = [
-            defuse_chain_record(6, rec_id="v0", source_id="vs0"),
-            make_record(rec_id="v1", name="spare_fn", source_id="vs1", salt=3),
-        ]
+        valid = pretrain_valid()
         cfg = TrainConfig(batch_size=2, seed=9, eval_every=3)
         result = pretrain_alm(records, valid, store, TOY, vocab, cfg,
                               str(tmp_path / "ck"), max_steps=6)
@@ -585,6 +596,40 @@ class TestPretrainAlm:
         reloaded = load_checkpoint(result.checkpoint_dirs["final"])
         assert snapshot(reloaded) == snapshot(store)
         assert reloaded.step_count == store.step_count
+        assert reloaded.best_step == result.best_step
+        assert reloaded.best_score == -result.best_valid_loss
+        assert checkpoint_meta(result.checkpoint_dirs["best"])["meta/best_step"] == result.best_step
+
+    def test_validated_resume_at_every_step_matches_uninterrupted_run(self, tmp_path):
+        # Split after every step k and resume from final/ into the same
+        # directory: best/ (kept from step 2) and final/ match the whole run.
+        records, vocab, _ = pretrain_setup()
+        valid = pretrain_valid()
+        cfg = TrainConfig(batch_size=2, seed=9, eval_every=1, lr=0.05)
+        n = 12
+
+        def pretrain(store, directory, max_steps):
+            return pretrain_alm(records, valid, store, TOY, vocab, cfg, directory, max_steps=max_steps)
+
+        whole = pretrain(build_stores(TOY, len(vocab), 10, seed=5), str(tmp_path / "whole"), n)
+        assert whole.best_step == 2 and len(whole.valid_losses) == n
+        expected = {sub: checkpoint_entries(str(tmp_path / "whole" / sub)) for sub in ("best", "final")}
+        assert checkpoint_meta(str(tmp_path / "whole" / "final"))["meta/best_step"] == 2
+        for k in range(1, n):
+            directory = str(tmp_path / f"split{k}")
+            pretrain(build_stores(TOY, len(vocab), 10, seed=5), directory, k)
+            resumed = pretrain(load_checkpoint(os.path.join(directory, "final")), directory, n)
+            assert (resumed.best_step, resumed.best_valid_loss) == (whole.best_step, whole.best_valid_loss), k
+            assert resumed.valid_losses == whole.valid_losses[k:], k
+            for sub in ("best", "final"):
+                assert checkpoint_entries(os.path.join(directory, sub)) == expected[sub], (k, sub)
+
+    def test_run_without_validation_writes_meta_step_alone(self, tmp_path):
+        records, vocab, store = pretrain_setup()
+        result = pretrain_alm(records, [], store, TOY, vocab, TrainConfig(batch_size=2, seed=9, eval_every=1),
+                              str(tmp_path / "ck"), max_steps=3)
+        assert set(result.checkpoint_dirs) == {"final"}
+        assert checkpoint_meta(result.checkpoint_dirs["final"]) == {"meta/step": 3.0}
 
 
 # -- multi-task fine-tuning ---------------------------------------------------------
@@ -702,6 +747,44 @@ class TestTrainMultitask:
         assert result.best_f1 == 0.0
         assert result.best_step == 1
         assert set(result.checkpoint_dirs) == {"best", "final"}
+
+    def test_validated_resume_at_every_step_matches_uninterrupted_run(self, tmp_path):
+        # The set-up above stops early at step 3 with best/ from step 1.
+        # Split after every step k and resume from final/ into the same
+        # directory; a run split at or after its early stop takes no step.
+        train, labels, vocab, name_vocab, _ = finetune_setup()
+        valid, valid_labels = valid_record(), [["unreachable"]]
+        cfg = TrainConfig(batch_size=1, seed=4, eval_every=1, patience=2)
+        n = 6
+
+        def finetune(store, directory, max_steps):
+            return train_multitask(train, labels, valid, valid_labels, store, TOY, vocab, name_vocab,
+                                   cfg, directory, max_steps=max_steps)
+
+        def fresh():
+            return build_stores(TOY, len(vocab), len(name_vocab), seed=2)
+
+        whole = finetune(fresh(), str(tmp_path / "whole"), n)
+        assert (whole.best_step, whole.stopped_early, len(whole.history)) == (1, True, 3)
+        expected = {sub: checkpoint_entries(str(tmp_path / "whole" / sub)) for sub in ("best", "final")}
+        for k in range(1, n):
+            directory = str(tmp_path / f"split{k}")
+            first = finetune(fresh(), directory, k)
+            resumed = finetune(load_checkpoint(os.path.join(directory, "final")), directory, n)
+            assert (resumed.best_step, resumed.best_f1) == (whole.best_step, whole.best_f1), k
+            assert resumed.stopped_early == whole.stopped_early, k
+            assert [h["step"] for h in resumed.history] == list(range(k + 1, 4)), k
+            assert first.history + resumed.history == whole.history, k
+            for sub in ("best", "final"):
+                assert checkpoint_entries(os.path.join(directory, sub)) == expected[sub], (k, sub)
+
+    def test_run_without_validation_writes_meta_step_alone(self, tmp_path):
+        train, labels, vocab, name_vocab, store = finetune_setup()
+        cfg = TrainConfig(batch_size=1, seed=4, eval_every=1)
+        result = train_multitask(train, labels, [], [], store, TOY, vocab, name_vocab, cfg,
+                                 str(tmp_path / "ck"), max_steps=2)
+        assert set(result.checkpoint_dirs) == {"final"} and result.best_step is None
+        assert checkpoint_meta(result.checkpoint_dirs["final"]) == {"meta/step": 2.0}
 
     def test_trained_ids_exclude_validation_set(self, tmp_path):
         train, labels, vocab, name_vocab, store = finetune_setup()
