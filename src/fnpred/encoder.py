@@ -5,8 +5,10 @@ multi-view summary of each instruction seeds K-hop message passing over the
 instruction-level CFG (graph route), while the flattened token sequence
 runs through a transformer encoder (sequence route).  The final encoding is
 the projected graph readout prepended to the per-token states.  The module
-also hosts the three language-model pretraining losses, and the attention,
-layer-norm and feed-forward blocks that the name decoder in ``tasks`` reuses.
+also hosts the three language-model pretraining losses, and the blocks that
+the name decoder in ``tasks`` reuses: layer norm, feed-forward, and
+attention as two primitives, ``attention_heads`` (project and split into
+heads) and ``attend`` (scores, softmax, merged heads and output projection).
 """
 
 from __future__ import annotations
@@ -237,27 +239,6 @@ def attend(
     return _affine(tape, merged, f"{prefix}.wo", f"{prefix}.bo")
 
 
-def attention(
-    tape: ParamTape,
-    prefix: str,
-    queries: Tensor,
-    keys_values: Tensor,
-    n_heads: int,
-    bias: Optional[np.ndarray] = None,
-    attn_sink: Optional[list] = None,
-) -> Tensor:
-    """Multi-head scaled dot-product attention with every head in one batch.
-
-    ``queries`` is Tq x d and ``keys_values`` Tk x d; ``bias`` is added to
-    the Tq x Tk scores of every head.  ``attn_sink``, when given, receives
-    one Tq x Tk attention array per head.
-    """
-    q = attention_heads(tape, prefix, "q", queries, n_heads)
-    k_t = attention_heads(tape, prefix, "k", keys_values, n_heads)
-    v = attention_heads(tape, prefix, "v", keys_values, n_heads)
-    return attend(tape, prefix, q, k_t, v, bias, attn_sink)
-
-
 # -- convolutional node vectors ---------------------------------------------
 
 def conv_node_vector(
@@ -383,7 +364,8 @@ def _transformer_tensor(
     for i in range(config.n_layers):
         p = f"enc{i}"
         normed = _layer_norm(tape, x, f"{p}.ln1")
-        attn_out = attention(tape, f"{p}.attn", normed, normed, config.n_heads, key_bias, attn_sink)
+        q, k_t, v = (attention_heads(tape, f"{p}.attn", w, normed, config.n_heads) for w in ("q", "k", "v"))
+        attn_out = attend(tape, f"{p}.attn", q, k_t, v, key_bias, attn_sink)
         x = x + ag.dropout(attn_out, config.dropout, rng, training)
         ffn = _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln2"))
         x = x + ag.dropout(ffn, config.dropout, rng, training)

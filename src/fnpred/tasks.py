@@ -2,12 +2,14 @@
 
 Name generation: a transformer decoder with causal self-attention and
 cross-attention over the encoding sequence, trained with teacher-forced
-negative log-likelihood (J_cg) and decoded greedily.  Greedy decoding
-(``predict_names``) runs a batch of encodings at once: each layer projects
-the cross-attention keys and values once per batch and caches the
-self-attention keys and values, so a step computes one new position per
-function still decoding.  Ties take the lowest label id.
-``decode_step_probs`` recomputes a step over the whole prefix and is the
+negative log-likelihood (J_cg) and decoded greedily.  One decoder stack,
+``_decode``, serves every pass: the teacher-forced loss and the
+``decode_step_probs`` oracle run it once over the whole prefix under a
+causal mask, and greedy decoding (``predict_names``) once per step, for a
+batch of encodings at once.  There each layer's cross-attention keys and
+values are projected once per batch and the self-attention keys and values
+are cached, so a step computes one new position per function still
+decoding.  Ties take the lowest label id.  ``decode_step_probs`` is the
 oracle that the cached path is tested against.  Similarity: tanh of the
 max-pooled encoding, compared through two affine projections with cosine
 similarity and a margin ranking loss (J_cs).  The joint objective is their
@@ -31,7 +33,6 @@ from .encoder import (
     _feed_forward,
     _layer_norm,
     attend,
-    attention,
     attention_heads,
 )
 from .ingest import FunctionRecord
@@ -145,6 +146,51 @@ def _as_emb_tensor(emb: Union[Tensor, np.ndarray]) -> Tensor:
     return tensor
 
 
+def _cross_kv(tape: ParamTape, memory: Tensor, config: EncoderConfig) -> list[tuple[Tensor, Tensor]]:
+    """Each decoder layer's cross-attention keys and values over ``memory``."""
+    return [
+        tuple(attention_heads(tape, f"dec{i}.cross", w, memory, config.n_heads) for w in ("k", "v"))
+        for i in range(config.n_layers)
+    ]
+
+
+def _decode(
+    tape: ParamTape,
+    config: EncoderConfig,
+    ids: np.ndarray,
+    positions: slice,
+    cross_kv: list[tuple[Tensor, Tensor]],
+    cache: list[list[Tensor]],
+    self_bias: np.ndarray,
+    cross_bias: Optional[np.ndarray] = None,
+    training: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> Tensor:
+    """Final-layer-normed decoder states of the rows ``ids`` at ``positions``.
+
+    Each layer appends the rows' self-attention keys and values to
+    ``cache[i]`` and attends over the whole cache.  Dropout is drawn on the
+    input, then on each layer's self-attention, cross-attention and FFN output.
+    """
+    c = config
+    x = ag.take_rows(tape.get("name_emb"), ids) + tape.get("dec_pos_emb")[positions]
+    x = ag.dropout(x, c.dropout, rng, training)
+    for i in range(c.n_layers):
+        p = f"dec{i}"
+        normed = _layer_norm(tape, x, f"{p}.ln1")
+        q, k_t, v = (attention_heads(tape, f"{p}.self", w, normed, c.n_heads) for w in ("q", "k", "v"))
+        if cache[i]:
+            k_t = ag.concat([cache[i][0], k_t], axis=-1)
+            v = ag.concat([cache[i][1], v], axis=-2)
+        cache[i] = [k_t, v]
+        x = x + ag.dropout(attend(tape, f"{p}.self", q, k_t, v, self_bias), c.dropout, rng, training)
+        q = attention_heads(tape, f"{p}.cross", "q", _layer_norm(tape, x, f"{p}.ln2"), c.n_heads)
+        x = x + ag.dropout(attend(tape, f"{p}.cross", q, *cross_kv[i], cross_bias), c.dropout, rng, training)
+        ffn = _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln3"))
+        x = x + ag.dropout(ffn, c.dropout, rng, training)
+    return _layer_norm(tape, x, "dec_final_ln")
+
+
 def _decoder_states(
     emb: Tensor,
     prefix_ids: Sequence[int],
@@ -162,23 +208,9 @@ def _decoder_states(
     if training and config.dropout > 0.0 and rng is None:
         rng = np.random.default_rng(0)
     causal = np.where(np.triu(np.ones((T, T)), k=1) > 0, _MASK_BIAS, 0.0)
-    x = ag.take_rows(tape.get("name_emb"), ids) + tape.get("dec_pos_emb")[0:T]
-    x = ag.dropout(x, config.dropout, rng, training)
-    for i in range(config.n_layers):
-        p = f"dec{i}"
-        normed = _layer_norm(tape, x, f"{p}.ln1")
-        x = x + ag.dropout(
-            attention(tape, f"{p}.self", normed, normed, config.n_heads, causal),
-            config.dropout, rng, training,
-        )
-        normed = _layer_norm(tape, x, f"{p}.ln2")
-        x = x + ag.dropout(
-            attention(tape, f"{p}.cross", normed, emb, config.n_heads),
-            config.dropout, rng, training,
-        )
-        ffn = _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln3"))
-        x = x + ag.dropout(ffn, config.dropout, rng, training)
-    return _layer_norm(tape, x, "dec_final_ln")
+    cache: list[list[Tensor]] = [[] for _ in range(config.n_layers)]
+    return _decode(tape, config, ids, slice(0, T), _cross_kv(tape, emb, config), cache, causal,
+                   training=training, rng=rng)
 
 
 def decode_step_probs(
@@ -250,10 +282,7 @@ def predict_names(
         return out
     memory = Tensor(np.concatenate(rows))
     memory_owner = np.repeat(np.arange(len(rows)), [r.shape[0] for r in rows])
-    cross = [
-        [attention_heads(tape, f"dec{i}.cross", w, memory, c.n_heads) for w in ("k", "v")]
-        for i in range(c.n_layers)
-    ]
+    cross_kv = _cross_kv(tape, memory, c)
     cache: list[list[Tensor]] = [[] for _ in range(c.n_layers)]
     cache_owner = np.zeros(0, dtype=np.int64)
     live = np.arange(len(rows))
@@ -263,20 +292,8 @@ def predict_names(
         cache_owner = np.concatenate([cache_owner, live])
         self_bias = np.where(cache_owner == live[:, None], 0.0, _MASK_BIAS)
         cross_bias = np.where(memory_owner == live[:, None], 0.0, _MASK_BIAS)
-        x = ag.take_rows(tape.get("name_emb"), ids) + tape.get("dec_pos_emb")[step : step + 1]
-        for i in range(c.n_layers):
-            p = f"dec{i}"
-            normed = _layer_norm(tape, x, f"{p}.ln1")
-            q, k_t, v = (attention_heads(tape, f"{p}.self", w, normed, c.n_heads) for w in ("q", "k", "v"))
-            if cache[i]:
-                k_t = ag.concat([cache[i][0], k_t], axis=-1)
-                v = ag.concat([cache[i][1], v], axis=-2)
-            cache[i] = [k_t, v]
-            x = x + attend(tape, f"{p}.self", q, k_t, v, self_bias)
-            q = attention_heads(tape, f"{p}.cross", "q", _layer_norm(tape, x, f"{p}.ln2"), c.n_heads)
-            x = x + attend(tape, f"{p}.cross", q, cross[i][0], cross[i][1], cross_bias)
-            x = x + _feed_forward(tape, f"{p}.ffn", _layer_norm(tape, x, f"{p}.ln3"))
-        logits = _affine(tape, _layer_norm(tape, x, "dec_final_ln"), "out_proj.w", "out_proj.b")
+        states = _decode(tape, c, ids, slice(step, step + 1), cross_kv, cache, self_bias, cross_bias)
+        logits = _affine(tape, states, "out_proj.w", "out_proj.b")
         if logits_sink is not None:
             logits_sink.append((live.copy(), logits.data.copy()))
         nxt = np.argmax(ag.softmax(logits, axis=-1).data, axis=-1)
@@ -290,17 +307,6 @@ def predict_names(
             keep[:] = False
         live, ids = live[keep], nxt[keep]
     return out
-
-
-def predict_name(
-    emb: Union[Tensor, np.ndarray],
-    params: Union[ParamStore, ParamTape],
-    config: EncoderConfig,
-    vocab: NameVocabulary,
-    max_len: int = 8,
-) -> list[str]:
-    """Greedy decoding of one encoding; see :func:`predict_names`."""
-    return predict_names([emb], params, config, vocab, max_len)[0]
 
 
 # -- similarity head ----------------------------------------------------------

@@ -70,13 +70,18 @@ class TrainConfig:
     negatives_per_positive: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("lr", "eps"):
+        for name in ("lr", "eps", "m_cs"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
+        for name in ("lambda1", "lambda2", "negatives_per_positive", "max_steps"):
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0")
+        if self.lambda1 == 0.0 and self.lambda2 == 0.0:
+            raise ValueError("lambda1 and lambda2 are both 0: at least one loss weight must be positive")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        for name in ("batch_size", "patience", "eval_every"):
+        for name in ("batch_size", "patience", "eval_every", "max_name_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.jcs_variant not in ("margin", "inverted"):
@@ -633,8 +638,6 @@ def train_multitask(
     """Joint J = lambda1*J_cg + lambda2*J_cs training, early-stopped on validation F1.
 
     Resumes from the store's run state as ``pretrain_alm`` does, early stopping included."""
-    if cfg.lambda1 == 0.0 and cfg.lambda2 == 0.0:
-        raise ValueError("at least one loss weight must be positive")
     _guard_against_leakage(train_records, train_labels, valid_records, name_vocab)
     history: list[dict] = []
     trained: set[str] = set()

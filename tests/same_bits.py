@@ -22,6 +22,18 @@ one ``sha256  <dir>/<entry>`` line per manifest entry (``param/...``,
 ``fnpred gradcheck`` at its defaults.  An entry's digest covers its shape
 and its bytes but not its offset, so an entry keeps its line when entries
 before it are added or dropped.  A failed command exits 1.
+
+Those runs use ``EncoderConfig.toy()``, whose dropout is 0, so the script
+also digests the training passes with dropout 0.1 on a fresh
+``build_stores`` store, at two 2-layer configs: ``toy``
+(``EncoderConfig.toy(dropout=0.1, n_layers=2)``) and ``default``
+(``EncoderConfig(n_layers=2)``).  The passes are ``encode_function`` +
+``name_loss``, and ``alm_losses`` on an infill and a CDI batch, each with
+``training=True`` and a seeded generator.  Each prints one
+``dropout/<config>/<pass>/loss`` line and one line per ``tape.grads()``
+entry.  At the same configs, one line digests every step's live indices
+and logits from ``predict_names``'s ``logits_sink`` on four encodings, and
+one the ``decode_step_probs`` oracle on a 3-id prefix.
 """
 
 from __future__ import annotations
@@ -35,12 +47,61 @@ import shutil
 import sys
 import tempfile
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _digest(array) -> str:
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    return hashlib.sha256(f"{array.shape}\n".encode("utf-8") + array.tobytes()).hexdigest()
+
+
+def _dropout_lines(records) -> list[str]:
+    """Digest lines of the dropout-on training passes and of decoding, at both 2-layer configs."""
+    from fnpred.encoder import EncoderConfig, TokenVocab, alm_losses, encode_function
+    from fnpred.params import ParamTape
+    from fnpred.pretrain import task_samples
+    from fnpred.tasks import NAME_BOS, NameVocabulary, decode_step_probs, name_loss, predict_names
+    from fnpred.trainer import build_stores
+
+    vocab = TokenVocab.from_records(records)
+    labels = [rec.name.split("_") for rec in records]
+    name_vocab = NameVocabulary.build(labels)
+    infill = [s for i in range(4) for s in task_samples(records[i], "infill", 20 + i, mask_ratio=0.3)]
+    cdi = task_samples(records[0], "cdi", 3, w=2, negatives_per_positive=1)[:4]
+
+    def name_pass(tape, rng):
+        emb = encode_function(records[1], tape, config, vocab, training=True, rng=rng).emb
+        return name_loss(emb, name_vocab.encode(labels[1]), tape, config, training=True, rng=rng)
+
+    passes = {
+        "encode_function+name_loss": name_pass,
+        "alm_losses.infill": lambda tape, rng: alm_losses(infill, tape, config, vocab, training=True, rng=rng),
+        "alm_losses.cdi": lambda tape, rng: alm_losses(cdi, tape, config, vocab, training=True, rng=rng),
+    }
+    lines = []
+    for size, config in (("toy", EncoderConfig.toy(dropout=0.1, n_layers=2)), ("default", EncoderConfig(n_layers=2))):
+        store = build_stores(config, len(vocab), len(name_vocab), seed=5)
+        for seed, (name, build) in enumerate(passes.items()):
+            tape = ParamTape(store)
+            loss = build(tape, np.random.default_rng(100 + seed))
+            loss.backward()
+            lines.append(f"{_digest(loss.data)}  dropout/{size}/{name}/loss")
+            lines += [f"{_digest(g)}  dropout/{size}/{name}/{param}" for param, g in sorted(tape.grads().items())]
+        embs = [encode_function(rec, store, config, vocab).emb for rec in records[:4]]
+        sink: list = []
+        predict_names(embs, store, config, name_vocab, logits_sink=sink)
+        steps = np.concatenate([np.column_stack([live, logits]) for live, logits in sink])
+        lines.append(f"{_digest(steps)}  dropout/{size}/predict_names")
+        probs = decode_step_probs(embs[0], [NAME_BOS, 4, 5], store, config)
+        lines.append(f"{_digest(probs)}  dropout/{size}/decode_step_probs")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -104,6 +165,7 @@ def main(argv: list[str]) -> int:
         gradcheck = call(["gradcheck"]).encode("utf-8")
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     print(f"{hashlib.sha256(gradcheck).hexdigest()}  gradcheck (stdout)")
+    print("\n".join(_dropout_lines(records)))
     return 0
 
 

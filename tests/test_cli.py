@@ -300,6 +300,16 @@ class TestTrainCommand:
         assert result.exit_code == 1
         assert "unknown key" in result.summary
 
+    def test_bad_fine_tuning_setting_rejected_before_pretraining(self, tmp_path, corpus_jsonl):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("batch_size=2\nmax_steps=10\nm_cs=0\n")
+        out_dir = tmp_path / "run"
+        result = run(["train", "--input", corpus_jsonl, "--out-dir", str(out_dir),
+                      "--config", str(cfg), "--pretrain-steps", "2"])
+        assert result.exit_code == 1
+        assert "config line 3: m_cs must be positive" in result.summary
+        assert not os.path.exists(out_dir / "pretrain")
+
     def test_fine_tuning_keeps_its_own_best_evaluation(self, tmp_path, corpus_jsonl):
         # Both stages evaluate after every step.  Fine-tuning starts from a
         # reset run state, so its best is an F1 at a fine-tuning step, never

@@ -26,7 +26,6 @@ from fnpred.tasks import (
     init_task_params,
     joint_loss,
     name_loss,
-    predict_name,
     predict_names,
     ranking_loss,
     sample_triplet,
@@ -275,6 +274,19 @@ class TestNameLoss:
         with pytest.raises(ValueError, match="empty"):
             name_loss(random_emb(), [], store, TOY)
 
+    def test_dropout_training_differs_but_is_seeded(self):
+        config = EncoderConfig.toy(dropout=0.5)
+        vocab = vocab10()
+        store = task_store(len(vocab), seed=5, config=config)
+        emb, gold = random_emb(seed=5), [4, 5, 6]
+        eval_loss = name_loss(emb, gold, store, config).item()
+        t1, t2 = (name_loss(emb, gold, store, config, training=True, rng=np.random.default_rng(0)).item()
+                  for _ in range(2))
+        assert t1 != eval_loss
+        assert t1 == t2
+        no_dropout = name_loss(emb, gold, store, TOY, training=True, rng=np.random.default_rng(0)).item()
+        assert no_dropout == name_loss(emb, gold, store, TOY).item()
+
 
 class TestPredictName:
     def test_model_emitting_eos_first_returns_empty(self):
@@ -283,7 +295,7 @@ class TestPredictName:
         store.values["out_proj.w"][:] = 0.0
         store.values["out_proj.b"][:] = 0.0
         store.values["out_proj.b"][NAME_EOS] = 5.0
-        assert predict_name(random_emb(seed=6), store, TOY, vocab) == []
+        assert predict_names([random_emb(seed=6)], store, TOY, vocab)[0] == []
 
     def test_output_length_bounded_by_max_len(self):
         vocab = vocab10()
@@ -291,16 +303,16 @@ class TestPredictName:
         store.values["out_proj.w"][:] = 0.0
         store.values["out_proj.b"][:] = 0.0
         store.values["out_proj.b"][5] = 5.0  # argmax is always label id 5
-        out = predict_name(random_emb(seed=7), store, TOY, vocab, max_len=4)
+        out = predict_names([random_emb(seed=7)], store, TOY, vocab, max_len=4)[0]
         assert out == [vocab.label(5)] * 4
-        out8 = predict_name(random_emb(seed=7), store, TOY, vocab)
+        out8 = predict_names([random_emb(seed=7)], store, TOY, vocab)[0]
         assert len(out8) == 8
 
     def test_pad_argmax_stops_at_sequence_cap(self):
         vocab = vocab10()
         store = task_store(len(vocab), seed=9)
         store.values["out_proj.b"][NAME_PAD] = 100.0
-        assert predict_name(random_emb(seed=9), store, TOY, vocab) == []
+        assert predict_names([random_emb(seed=9)], store, TOY, vocab)[0] == []
 
     def test_ties_take_lowest_id(self):
         vocab = vocab10()
@@ -309,7 +321,7 @@ class TestPredictName:
         store.values["out_proj.b"][:] = 0.0
         store.values["out_proj.b"][5] = 5.0
         store.values["out_proj.b"][6] = 5.0
-        out = predict_name(random_emb(seed=8), store, TOY, vocab, max_len=1)
+        out = predict_names([random_emb(seed=8)], store, TOY, vocab, max_len=1)[0]
         assert out == [vocab.label(5)]
 
 

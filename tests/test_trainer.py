@@ -133,6 +133,22 @@ class TestTrainConfigIO:
         with pytest.raises(ValueError, match="config line 3: " + message):
             load_train_config(str(path))
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("m_cs", 0.0, "m_cs must be positive"), ("m_cs", float("nan"), "m_cs must be positive"),
+         ("max_name_len", 0, "max_name_len must be >= 1"), ("lambda1", -1.0, "lambda1 must be >= 0"),
+         ("lambda2", float("nan"), "lambda2 must be >= 0"),
+         ("negatives_per_positive", -1, "negatives_per_positive must be >= 0"),
+         ("max_steps", -3, "max_steps must be >= 0")],
+    )
+    def test_settings_that_fail_only_after_pretraining_rejected(self, tmp_path, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"seed=2\n# fine-tuning\n{field}={value}\nbatch_size=2\n")
+        with pytest.raises(ValueError, match="config line 3: " + message):
+            load_train_config(str(path))
+
     def test_eval_every_below_one_rejected_from_file(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("seed=2\neval_every=0\n")
@@ -673,11 +689,12 @@ class TestTrainMultitask:
                             TrainConfig(batch_size=1), str(tmp_path / "ck"), max_steps=1)
 
     def test_zero_loss_weights_rejected(self, tmp_path):
-        train, labels, vocab, name_vocab, store = finetune_setup()
-        cfg = TrainConfig(batch_size=1, lambda1=0.0, lambda2=0.0)
         with pytest.raises(ValueError, match="at least one loss weight"):
-            train_multitask(train, labels, [], [], store, TOY, vocab, name_vocab,
-                            cfg, str(tmp_path / "ck"), max_steps=1)
+            TrainConfig(batch_size=1, lambda1=0.0, lambda2=0.0)
+        path = tmp_path / "train.cfg"
+        path.write_text("seed=2\nlambda1=0\nlambda2=0\n")
+        with pytest.raises(ValueError, match="config line 2: lambda1 and lambda2 are both 0"):
+            load_train_config(str(path))
 
     def test_resume_from_checkpoint_at_every_step_matches_bit_for_bit(self, tmp_path):
         train, labels, vocab, name_vocab, store = finetune_setup()
