@@ -281,7 +281,14 @@ def _cmd_train(ns) -> tuple[str, list[str]]:
 def _load_model(model_dir: str):
     store = load_checkpoint(model_dir, names=("param/",))  # values only: no moments, no step
     enc_config = load_encoder_config(os.path.join(model_dir, "encoder_config.txt"))
-    token_vocab = TokenVocab.load(os.path.join(model_dir, "token_vocab.txt"))
+    vocab_path = os.path.join(model_dir, "token_vocab.txt")
+    token_vocab = TokenVocab.load(vocab_path)
+    n_rows = store.values["tok_emb"].shape[0]
+    if len(token_vocab) != n_rows:
+        raise ValueError(
+            f"token vocabulary {vocab_path} has {len(token_vocab)} tokens, "
+            f"but the checkpoint's tok_emb has {n_rows} rows"
+        )
     return store, enc_config, token_vocab
 
 

@@ -3,12 +3,17 @@
 Instruction tokens are embedded and fed down two routes: a convolutional
 multi-view summary of each instruction seeds K-hop message passing over the
 instruction-level CFG (graph route), while the flattened token sequence
-runs through a transformer encoder (sequence route).  The final encoding is
-the projected graph readout prepended to the per-token states.  The module
-also hosts the three language-model pretraining losses, and the blocks that
-the name decoder in ``tasks`` reuses: layer norm, feed-forward, and
-attention as two primitives, ``attention_heads`` (project and split into
-heads) and ``attend`` (scores, softmax, merged heads and output projection).
+runs through a transformer encoder (sequence route).  Each token is looked
+up once: the sequence ids are the instructions' ids end to end.  The final
+encoding is the projected graph readout prepended to the per-token states.
+
+The module also hosts ``Vocabulary``, the one label-to-id type behind the
+token vocabulary (``TokenVocab``) and the name vocabulary
+(``tasks.NameVocabulary``); the three language-model pretraining losses;
+and the blocks that the name decoder in ``tasks`` reuses: layer norm,
+feed-forward, and attention as two primitives, ``attention_heads``
+(project and split into heads) and ``attend`` (scores, softmax, merged
+heads and output projection).
 """
 
 from __future__ import annotations
@@ -29,60 +34,91 @@ PAD_TOKEN = "[PAD]"
 SEP_TOKEN = "[SEP]"
 UNK_TOKEN = "[UNK]"
 PAD_ID, MASK_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
-_SPECIALS = (PAD_TOKEN, MASK_TOKEN, SEP_TOKEN, UNK_TOKEN)
 
 _LN_EPS = 1e-5
 _MASK_BIAS = -1e30
 
 # -- vocabulary -------------------------------------------------------------
 
-class TokenVocab:
-    """Instruction-token vocabulary with reserved special sentinels."""
+class Vocabulary:
+    """Labels with fixed ids: the subclass's ``SPECIALS`` first, then the rest.
 
-    def __init__(self, tokens: Sequence[str]):
-        if tuple(tokens[:4]) != _SPECIALS:
-            raise ValueError("vocabulary must start with the four special sentinels")
-        if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate tokens in vocabulary")
-        self.id_to_token = list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(tokens)}
+    ``build`` orders the non-special labels by descending count, ties in
+    string order.  Unknown labels map to ``UNK_ID``, which both subclasses
+    reserve for ``[UNK]``.  ``save`` writes one ``label<TAB>id<TAB>count``
+    line per id and ``load`` checks every line, so a label may be empty or
+    non-ASCII but may not hold a tab, LF or CR.
+    """
+
+    SPECIALS: tuple[str, ...] = ()
+
+    def __init__(self, labels: Sequence[str], counts: Optional[dict[str, int]] = None):
+        labels = list(labels)
+        if tuple(labels[: len(self.SPECIALS)]) != self.SPECIALS:
+            raise ValueError(f"vocabulary must start with the special labels {' '.join(self.SPECIALS)}")
+        for label in labels:
+            if "\t" in label or "\n" in label or "\r" in label:
+                raise ValueError(f"vocabulary label {label!r} holds a tab, LF or CR")
+        self.id_to_label = labels
+        self.label_to_id = {l: i for i, l in enumerate(labels)}
+        if len(self.label_to_id) != len(labels):
+            raise ValueError("duplicate labels in vocabulary")
+        self.counts = dict(counts or {})
 
     @classmethod
-    def build(cls, corpus: Iterable[Sequence[str]], min_count: int = 1) -> "TokenVocab":
+    def build(cls, corpus: Iterable[Sequence[str]]):
         counts: dict[str, int] = {}
-        for toks in corpus:
-            for tok in toks:
-                counts[tok] = counts.get(tok, 0) + 1
-        kept = sorted(
-            (t for t, c in counts.items() if c >= min_count and t not in _SPECIALS),
-            key=lambda t: (-counts[t], t),
-        )
-        return cls(list(_SPECIALS) + kept)
-
-    @classmethod
-    def from_records(cls, records: Iterable[FunctionRecord], min_count: int = 1) -> "TokenVocab":
-        corpus = (toks for rec in records for toks in record_tokens(rec))
-        return cls.build(corpus, min_count=min_count)
+        for labels in corpus:
+            for label in labels:
+                counts[label] = counts.get(label, 0) + 1
+        kept = sorted((l for l in counts if l not in cls.SPECIALS), key=lambda l: (-counts[l], l))
+        return cls(list(cls.SPECIALS) + kept, counts)
 
     def __len__(self) -> int:
-        return len(self.id_to_token)
+        return len(self.id_to_label)
 
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+    def id(self, label: str) -> int:
+        return self.label_to_id.get(label, UNK_ID)
 
-    def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.id(t) for t in tokens]
+    def encode(self, labels: Sequence[str]) -> list[int]:
+        return [self.id(l) for l in labels]
+
+    def label(self, idx: int) -> str:
+        return self.id_to_label[idx]
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.id_to_token:
-                fh.write(tok + "\n")
+            for i, label in enumerate(self.id_to_label):
+                fh.write(f"{label}\t{i}\t{self.counts.get(label, 0)}\n")
 
     @classmethod
-    def load(cls, path: str) -> "TokenVocab":
+    def load(cls, path: str):
+        labels: list[str] = []
+        counts: dict[str, int] = {}
         with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+            for line_no, raw in enumerate(fh, start=1):
+                parts = raw.rstrip("\n").split("\t")
+                if len(parts) != 3:
+                    raise ValueError(f"{path} line {line_no}: expected label<TAB>id<TAB>count")
+                try:
+                    idx, count = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ValueError(f"{path} line {line_no}: id and count must be integers") from None
+                if idx != line_no - 1:
+                    raise ValueError(f"{path} line {line_no}: ids must be consecutive from 0")
+                labels.append(parts[0])
+                counts[parts[0]] = count
+        return cls(labels, counts)
+
+
+class TokenVocab(Vocabulary):
+    """Instruction-token vocabulary; ids 0-3 are the special sentinels."""
+
+    SPECIALS = (PAD_TOKEN, MASK_TOKEN, SEP_TOKEN, UNK_TOKEN)
+
+    @classmethod
+    def from_records(cls, records: Iterable[FunctionRecord]) -> "TokenVocab":
+        return cls.build(toks for rec in records for toks in record_tokens(rec))
 
 
 # -- configuration ----------------------------------------------------------
@@ -407,18 +443,13 @@ def encode_function(
 ) -> FunctionEncoding:
     """Encode one function; pass a trainable tape to build a gradient graph."""
     tape = _as_tape(params)
-    per_ins_tokens = record_tokens(rec)
-    node_rows = [
-        _conv_node_vector_tensor(tape, vocab.encode(toks), config) for toks in per_ins_tokens
-    ]
-    x = ag.concat(node_rows, axis=0)
+    per_ins_ids = [vocab.encode(toks) for toks in record_tokens(rec)]
+    x = ag.concat([_conv_node_vector_tensor(tape, ids, config) for ids in per_ins_ids], axis=0)
     cfg = build_fine_grained_cfg(rec)
     nodes = _khop_tensor(cfg, x, tape, config.gnn_layers, config.gnn_hops)
     h_g_raw = ag.mean(nodes, axis=0)
     h_g = ag.reshape(h_g_raw, (1, config.d_hidden)) @ tape.get("g_proj.w") + tape.get("g_proj.b")
-    flat_ids = np.asarray(
-        vocab.encode([t for toks in per_ins_tokens for t in toks]), dtype=np.int64
-    )
+    flat_ids = np.asarray([i for ids in per_ins_ids for i in ids], dtype=np.int64)
     token_states = _transformer_tensor(flat_ids, tape, config, training=training, rng=rng)
     return FunctionEncoding(emb=ag.concat([h_g, token_states], axis=0))
 

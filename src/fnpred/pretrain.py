@@ -141,15 +141,30 @@ def reconstruct_infilling(sample: InfillingSample) -> list[str]:
 
 # -- instruction-pair tasks -------------------------------------------------
 
-def _sample_pairs(
-    candidates: list[tuple[int, int]], count: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    if count <= 0 or not candidates:
-        return []
-    if count >= len(candidates):
-        return list(candidates)
-    picks = rng.choice(len(candidates), size=count, replace=False)
-    return [candidates[i] for i in sorted(picks)]
+def _pair_samples(
+    tokens: list[list[str]],
+    positives: list[tuple[int, int]],
+    violators: list[tuple[int, int]],
+    task: str,
+    negatives_per_positive: int,
+    rng_seed: int,
+) -> list[InstructionPairSample]:
+    """Every positive pair, then ``negatives_per_positive`` negatives per
+    positive drawn without replacement from ``violators`` (all of them when
+    there are no more), in index order."""
+    count = negatives_per_positive * len(positives)
+    if count <= 0:
+        negatives = []
+    elif count < len(violators):
+        picks = np.random.default_rng(rng_seed).choice(len(violators), size=count, replace=False)
+        negatives = [violators[i] for i in sorted(picks)]
+    else:
+        negatives = violators
+    return [
+        InstructionPairSample(tokens[i], tokens[j], label, task)
+        for label, pairs in (("positive", positives), ("negative", negatives))
+        for i, j in pairs
+    ]
 
 
 def cdi_pairs(
@@ -184,17 +199,7 @@ def cdi_pairs(
                 positives.append((i, j))
             else:
                 violators.append((i, j))
-    if not positives:
-        return []
-    rng = np.random.default_rng(rng_seed)
-    negatives = _sample_pairs(violators, negatives_per_positive * len(positives), rng)
-    samples = [
-        InstructionPairSample(tokens[i], tokens[j], "positive", "CDI") for i, j in positives
-    ]
-    samples.extend(
-        InstructionPairSample(tokens[i], tokens[j], "negative", "CDI") for i, j in negatives
-    )
-    return samples
+    return _pair_samples(tokens, positives, violators, "CDI", negatives_per_positive, rng_seed)
 
 
 def dui_pairs(
@@ -212,15 +217,7 @@ def dui_pairs(
     violators = [
         (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in positive_set
     ]
-    rng = np.random.default_rng(rng_seed)
-    negatives = _sample_pairs(violators, negatives_per_positive * len(positives), rng)
-    samples = [
-        InstructionPairSample(tokens[i], tokens[j], "positive", "DUI") for i, j in positives
-    ]
-    samples.extend(
-        InstructionPairSample(tokens[i], tokens[j], "negative", "DUI") for i, j in negatives
-    )
-    return samples
+    return _pair_samples(tokens, positives, violators, "DUI", negatives_per_positive, rng_seed)
 
 
 # -- serialization ----------------------------------------------------------

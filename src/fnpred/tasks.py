@@ -14,6 +14,10 @@ oracle that the cached path is tested against.  Similarity: tanh of the
 max-pooled encoding, compared through two affine projections with cosine
 similarity and a margin ranking loss (J_cs).  The joint objective is their
 weighted sum.
+
+``NameVocabulary`` is ``encoder.Vocabulary`` with the decoder's four
+control labels as its specials; it is saved as ``name_vocab.tsv`` in the
+same ``label<TAB>id<TAB>count`` format as the token vocabulary.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .autograd import Tensor
 from .encoder import (
     _MASK_BIAS,
     EncoderConfig,
+    Vocabulary,
     _affine,
     _as_tape,
     _feed_forward,
@@ -39,68 +44,15 @@ from .ingest import FunctionRecord
 from .params import ParamStore, ParamTape
 
 NAME_PAD, NAME_BOS, NAME_EOS, NAME_UNK = 0, 1, 2, 3
-_NAME_SPECIALS = ("[PAD]", "[BOS]", "[EOS]", "[UNK]")
 
 DEFAULT_MARGIN = 0.5
 RANKING_VARIANTS = ("margin", "inverted")
 
 
-class NameVocabulary:
-    """Function-name label vocabulary with reserved control ids."""
+class NameVocabulary(Vocabulary):
+    """Function-name label vocabulary; ids 0-3 are the decoder's control labels."""
 
-    def __init__(self, labels: Sequence[str], counts: Optional[dict[str, int]] = None):
-        if tuple(labels[:4]) != _NAME_SPECIALS:
-            raise ValueError("name vocabulary must start with the four control labels")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in vocabulary")
-        self.id_to_label = list(labels)
-        self.label_to_id = {l: i for i, l in enumerate(labels)}
-        self.counts = dict(counts or {})
-
-    @classmethod
-    def build(cls, names: Sequence[Sequence[str]], min_count: int = 1) -> "NameVocabulary":
-        counts: dict[str, int] = {}
-        for labels in names:
-            for label in labels:
-                counts[label] = counts.get(label, 0) + 1
-        kept = sorted(
-            (l for l, c in counts.items() if c >= min_count and l not in _NAME_SPECIALS),
-            key=lambda l: (-counts[l], l),
-        )
-        return cls(list(_NAME_SPECIALS) + kept, counts)
-
-    def __len__(self) -> int:
-        return len(self.id_to_label)
-
-    def id(self, label: str) -> int:
-        return self.label_to_id.get(label, NAME_UNK)
-
-    def encode(self, labels: Sequence[str]) -> list[int]:
-        return [self.id(l) for l in labels]
-
-    def label(self, idx: int) -> str:
-        return self.id_to_label[idx]
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, label in enumerate(self.id_to_label):
-                fh.write(f"{label}\t{i}\t{self.counts.get(label, 0)}\n")
-
-    @classmethod
-    def load(cls, path: str) -> "NameVocabulary":
-        labels: list[str] = []
-        counts: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh):
-                parts = raw.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"vocabulary line {line_no + 1}: expected label<TAB>id<TAB>count")
-                label, idx, count = parts[0], int(parts[1]), int(parts[2])
-                if idx != line_no:
-                    raise ValueError(f"vocabulary line {line_no + 1}: ids must be consecutive")
-                labels.append(label)
-                counts[label] = count
-        return cls(labels, counts)
+    SPECIALS = ("[PAD]", "[BOS]", "[EOS]", "[UNK]")
 
 
 @dataclass

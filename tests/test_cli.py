@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -392,6 +393,24 @@ class TestTrainCommand:
         assert result.exit_code == 1
         assert "'tok_emb'" in result.summary
 
+    def test_empty_operand_token_survives_train_then_predict(self, tmp_path, small_train_cfg):
+        records = cli_records()
+        for rec in records:
+            rec.instructions[1].operands.append("")
+        inp = write_jsonl(records, tmp_path / "data.jsonl")
+        out_dir = str(tmp_path / "run")
+        result = run(["train", "--input", inp, "--out-dir", out_dir,
+                      "--config", small_train_cfg, "--ablate", "no-pretrain"])
+        assert result.exit_code == 0, result.summary
+        model = os.path.join(out_dir, "multitask", "final")
+        token_vocab = TokenVocab.load(os.path.join(model, "token_vocab.txt"))
+        assert "" in token_vocab.label_to_id
+        assert len(token_vocab) == load_checkpoint(model).values["tok_emb"].shape[0]
+        out = tmp_path / "p.tsv"
+        result = run(["predict", "--model", model, "--input", inp, "--out", str(out)])
+        assert result.exit_code == 0, result.summary
+        assert len(out.read_text(encoding="utf-8").splitlines()) == len(records)
+
     def test_input_never_mutated(self, tmp_path, small_train_cfg):
         inp = write_jsonl(cli_records(), tmp_path / "data.jsonl")
         before = read_bytes(inp)
@@ -445,6 +464,25 @@ class TestPredictCommand:
         assert result.exit_code == 1
         assert f"has {size} labels" in result.summary
         assert f"has {outputs} columns" in result.summary
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "similarity"])
+    def test_token_vocabulary_of_another_size_rejected_before_writing(self, tmp_path, corpus_jsonl,
+                                                                      trained_model, command):
+        model = str(tmp_path / "model")
+        shutil.copytree(trained_model["model"], model)
+        vocab_path = os.path.join(model, "token_vocab.txt")
+        lines = open(vocab_path, encoding="utf-8").readlines()
+        with open(vocab_path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:-1])
+        rows = load_checkpoint(model).values["tok_emb"].shape[0]
+        out = tmp_path / "p.tsv"
+        args = (["predict", "--out", str(out)] if command == "predict"
+                else ["similarity", "--a", "fn000_O0", "--b", "fn000_O2"])
+        result = run([*args, "--model", model, "--input", corpus_jsonl])
+        assert result.exit_code == 1
+        assert f"has {rows - 1} tokens" in result.summary
+        assert f"has {rows} rows" in result.summary
         assert not out.exists()
 
     @pytest.mark.parametrize("max_len", ["0", "-1"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fnpred.encoder import (
 from fnpred.ingest import build_fine_grained_cfg, khop_neighborhood, record_tokens
 from fnpred.params import ParamStore, ParamTape
 from fnpred.pretrain import MASK_TOKEN, InfillingSample, InstructionPairSample
+from fnpred.tasks import NameVocabulary
 
 TOY = EncoderConfig.toy()
 
@@ -123,29 +125,24 @@ def one_hop_oracle(cfg, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
 class TestTokenVocab:
     def test_specials_lead_and_frequency_orders_the_rest(self):
         vocab = TokenVocab.build([["mov", "eax"], ["mov", "ebx"], ["add", "eax"]])
-        assert vocab.id_to_token[:4] == [PAD_TOKEN, MASK_TOKEN, "[SEP]", "[UNK]"]
+        assert vocab.id_to_label[:4] == [PAD_TOKEN, MASK_TOKEN, "[SEP]", "[UNK]"]
         # eax and mov tie at count 2 (alphabetical), then the rest.
-        assert vocab.id_to_token[4:] == ["eax", "mov", "add", "ebx"]
+        assert vocab.id_to_label[4:] == ["eax", "mov", "add", "ebx"]
 
     def test_unknown_token_maps_to_unk(self):
         vocab = small_vocab()
         assert vocab.id("no_such_token") == UNK_ID
         assert vocab.encode(["mov", "no_such_token"])[1] == UNK_ID
 
-    def test_min_count_filters_rare_tokens(self):
-        vocab = TokenVocab.build([["mov", "eax"], ["mov", "ebx"]], min_count=2)
-        assert "mov" in vocab.token_to_id
-        assert "ebx" not in vocab.token_to_id
-
     def test_save_load_round_trip(self, tmp_path):
         vocab = small_vocab()
         path = str(tmp_path / "vocab.txt")
         vocab.save(path)
         again = TokenVocab.load(path)
-        assert again.id_to_token == vocab.id_to_token
+        assert again.id_to_label == vocab.id_to_label
 
     def test_rejects_missing_specials_and_duplicates(self):
-        with pytest.raises(ValueError, match="special sentinels"):
+        with pytest.raises(ValueError, match="special labels"):
             TokenVocab(["mov", "eax"])
         specials = [PAD_TOKEN, MASK_TOKEN, "[SEP]", "[UNK]"]
         with pytest.raises(ValueError, match="duplicate"):
@@ -155,8 +152,47 @@ class TestTokenVocab:
         rec = make_record("f0", "demo", "s0", n_instructions=4)
         rec.instructions[0].operands[0] = "0x4005d0"
         vocab = TokenVocab.from_records([rec])
-        assert "<imm>" in vocab.token_to_id
-        assert "0x4005d0" not in vocab.token_to_id
+        assert "<imm>" in vocab.label_to_id
+        assert "0x4005d0" not in vocab.label_to_id
+
+
+@pytest.mark.parametrize("cls", [TokenVocab, NameVocabulary])
+class TestVocabularyFile:
+    """Both vocabulary types share one ``label<TAB>id<TAB>count`` file format."""
+
+    def test_round_trip_keeps_every_label_and_count(self, cls, tmp_path):
+        vocab = cls.build([["", "zähler", "mov"], ["", "名前"], [""]])
+        assert vocab.id_to_label[4:] == ["", "mov", "zähler", "名前"]
+        path = str(tmp_path / "vocab.tsv")
+        vocab.save(path)
+        again = cls.load(path)
+        assert again.id_to_label == vocab.id_to_label
+        assert again.label_to_id == vocab.label_to_id
+        assert again.counts == {l: vocab.counts.get(l, 0) for l in vocab.id_to_label}
+        assert again.counts[""] == 3 and again.counts["名前"] == 1
+        assert again.encode(["", "名前", "absent"]) == [4, 7, UNK_ID]
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "\n"])
+    def test_rejects_a_line_breaking_label_by_name(self, cls, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            cls(list(cls.SPECIALS) + ["ok", label])
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            cls.build([["ok", label]])
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("x\t4\n", "label<TAB>id<TAB>count"),
+        ("x\t4\t1\textra\n", "label<TAB>id<TAB>count"),
+        ("x\t5\t1\n", "consecutive"),
+        ("x\tfour\t1\n", "integers"),
+        ("x\t4\tmany\n", "integers"),
+    ])
+    def test_load_names_the_bad_line(self, cls, tmp_path, bad_line, message):
+        path = tmp_path / "vocab.tsv"
+        cls(list(cls.SPECIALS) + ["a"]).save(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:4]) + bad_line + lines[4], encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 5: .*{re.escape(message)}"):
+            cls.load(str(path))
 
 
 # -- configuration ------------------------------------------------------------
@@ -578,7 +614,7 @@ def test_backward_memory_does_not_grow_with_the_vocabulary():
     rec = make_record("big", "load_config", "s0", n_instructions=21, salt=3)
     small = TokenVocab.from_records([rec])
     padding = [f"tok{i}" for i in range(30_000 - len(small))]
-    large = TokenVocab(small.id_to_token + padding)
+    large = TokenVocab(small.id_to_label + padding)
     config = EncoderConfig()
 
     def peak(vocab: TokenVocab) -> int:

@@ -349,7 +349,7 @@ class TestRecordTokens:
         assert record_tokens(rec) == record_tokens(normalize_record(rec))
 
         vocab = TokenVocab.from_records([rec])
-        assert set(vocab.id_to_token[4:]) == {tok for row in rows for tok in row}
+        assert set(vocab.id_to_label[4:]) == {tok for row in rows for tok in row}
 
         cdi, dui = cdi_pairs(rec, rng_seed=1), dui_pairs(rec, rng_seed=1)
         assert cdi and dui

@@ -134,10 +134,6 @@ class TestNameVocabulary:
         assert vocab.encode(["time", "not_there"]) == [vocab.id("time"), NAME_UNK]
         assert vocab.label(vocab.id("time")) == "time"
 
-    def test_min_count(self):
-        vocab = NameVocabulary.build([["a", "b"], ["a"]], min_count=2)
-        assert "a" in vocab.label_to_id and "b" not in vocab.label_to_id
-
     def test_save_load_round_trip(self, tmp_path):
         vocab = vocab10()
         path = str(tmp_path / "names.tsv")
@@ -157,7 +153,7 @@ class TestNameVocabulary:
             NameVocabulary.load(str(skewed))
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="control labels"):
+        with pytest.raises(ValueError, match="special labels"):
             NameVocabulary(["set", "time"])
         with pytest.raises(ValueError, match="duplicate"):
             NameVocabulary(["[PAD]", "[BOS]", "[EOS]", "[UNK]", "x", "x"])
